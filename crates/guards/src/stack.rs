@@ -1,5 +1,4 @@
 use std::fmt;
-use std::time::Instant;
 
 use apdm_policy::{Action, AuditKind, AuditLog};
 use apdm_statespace::State;
@@ -85,15 +84,7 @@ fn observed(stage: &StageMetrics, f: impl FnOnce() -> GuardVerdict) -> GuardVerd
     if !telemetry::enabled() {
         return f();
     }
-    let verdict = if stage.sampler.sample() {
-        let started = Instant::now();
-        let verdict = f();
-        let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        stage.latency.record(ns);
-        verdict
-    } else {
-        f()
-    };
+    let verdict = telemetry::sampled_timed(&stage.latency, &stage.sampler, f);
     let outcome = match &verdict {
         GuardVerdict::Allow | GuardVerdict::AllowWithObligations(_) => &stage.allow,
         GuardVerdict::Deny { .. } => &stage.deny,

@@ -1,7 +1,6 @@
 //! The hash-chained, append-only ledger and its verification pass.
 
 use std::fmt;
-use std::time::Instant;
 
 use apdm_telemetry::{self as telemetry, event, Level};
 use serde::{Deserialize, Serialize, Value};
@@ -17,48 +16,18 @@ const APPEND_LATENCY_SAMPLE_PERIOD: u32 = 8;
 thread_local! {
     /// Cached instrument handles: the ledger is on the recorder hot path, so
     /// per-append observations must not touch the registry's name table.
-    static APPEND_NS: telemetry::CachedHistogram =
-        const { telemetry::CachedHistogram::new("ledger.append.ns") };
-    static APPEND_SAMPLER: telemetry::Sampler =
-        const { telemetry::Sampler::every(APPEND_LATENCY_SAMPLE_PERIOD) };
+    static APPEND_NS: (telemetry::CachedHistogram, telemetry::Sampler) = const {
+        (
+            telemetry::CachedHistogram::new("ledger.append.ns"),
+            telemetry::Sampler::every(APPEND_LATENCY_SAMPLE_PERIOD),
+        )
+    };
     static VERIFY_NS: telemetry::CachedHistogram =
         const { telemetry::CachedHistogram::new("ledger.verify.ns") };
     static CORRUPTION_DETECTED: telemetry::CachedCounter =
         const { telemetry::CachedCounter::new("ledger.corruption.detected") };
     static TORN_TAIL_RECOVERED: telemetry::CachedCounter =
         const { telemetry::CachedCounter::new("ledger.torn_tail.recovered") };
-}
-
-/// Like [`timed`], but pays the clock reads on a sampled subset of calls.
-fn sampled_timed<R>(
-    hist: &'static std::thread::LocalKey<telemetry::CachedHistogram>,
-    sampler: &'static std::thread::LocalKey<telemetry::Sampler>,
-    f: impl FnOnce() -> R,
-) -> R {
-    if !telemetry::enabled() || !sampler.with(|s| s.sample()) {
-        return f();
-    }
-    let started = Instant::now();
-    let out = f();
-    let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    hist.with(|h| h.record(ns));
-    out
-}
-
-/// Run `f` under a latency histogram when a telemetry dispatch is
-/// installed; a bare call otherwise.
-fn timed<R>(
-    hist: &'static std::thread::LocalKey<telemetry::CachedHistogram>,
-    f: impl FnOnce() -> R,
-) -> R {
-    if !telemetry::enabled() {
-        return f();
-    }
-    let started = Instant::now();
-    let out = f();
-    let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    hist.with(|h| h.record(ns));
-    out
 }
 
 /// Build a [`Corruption`], surfacing it through telemetry: a
@@ -167,18 +136,28 @@ impl Ledger {
 
     /// Append an event, chaining its digest; returns the new record's seq.
     pub fn append(&mut self, tick: u64, event: RunEvent) -> u64 {
-        sampled_timed(&APPEND_NS, &APPEND_SAMPLER, || {
-            let seq = self.records.len() as u64;
-            let payload = canonical_payload(seq, tick, &event);
-            let digest = chain_digest(self.head_digest(), payload.as_bytes());
-            self.records.push(LedgerRecord {
-                seq,
-                tick,
-                event,
-                digest,
-            });
-            seq
+        // Append is the recorder hot path: skip the thread-local lookup
+        // entirely when no telemetry dispatch is installed.
+        if !telemetry::enabled() {
+            return self.push(tick, event);
+        }
+        APPEND_NS.with(|(hist, sampler)| {
+            telemetry::sampled_timed(hist, sampler, || self.push(tick, event))
         })
+    }
+
+    /// Chain and store one record: the untimed body of [`Ledger::append`].
+    fn push(&mut self, tick: u64, event: RunEvent) -> u64 {
+        let seq = self.records.len() as u64;
+        let payload = canonical_payload(seq, tick, &event);
+        let digest = chain_digest(self.head_digest(), payload.as_bytes());
+        self.records.push(LedgerRecord {
+            seq,
+            tick,
+            event,
+            digest,
+        });
+        seq
     }
 
     /// All records in append order.
@@ -215,7 +194,7 @@ impl Ledger {
     /// Verify chain integrity only (no completeness check). Useful on a
     /// still-recording ledger.
     pub fn verify_chain(&self) -> Result<(), Corruption> {
-        timed(&VERIFY_NS, || {
+        VERIFY_NS.with(|hist| telemetry::timed(hist, || {
             let mut prev = GENESIS;
             for (position, record) in self.records.iter().enumerate() {
                 let seq = position as u64;
@@ -242,7 +221,7 @@ impl Ledger {
                 prev = record.digest;
             }
             Ok(())
-        })
+        }))
     }
 
     /// Full verification: chain integrity plus the sealed-run check. A

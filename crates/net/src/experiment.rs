@@ -374,7 +374,7 @@ fn run_cell(cfg: &E17Config, golden: &Golden, clients: u32) -> io::Result<E17Cel
         audit_verified: outcome.audit.verify().is_ok(),
         unaudited: (outcome.rejects + outcome.drops).saturating_sub(audited_rejections),
         undelivered: outcome.decisions_dropped,
-        wall_ns: started.elapsed().as_nanos() as u64,
+        wall_ns: telemetry::elapsed_ns(started),
     })
 }
 
@@ -456,7 +456,7 @@ pub fn run_e17(cfg: &E17Config) -> io::Result<E17Report> {
         config: cfg.clone(),
         cells,
         trace_spans_wire,
-        wall_ns: started.elapsed().as_nanos() as u64,
+        wall_ns: telemetry::elapsed_ns(started),
     })
 }
 

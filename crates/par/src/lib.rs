@@ -1,24 +1,25 @@
 //! Deterministic parallel execution primitives for the apdm workspace.
 //!
-//! Everything here is plain `std`: scoped threads, a mutex-guarded work
-//! queue, and an mpsc channel. The two entry points encode the two shapes
-//! of parallelism the simulator needs:
+//! Everything here is plain `std`: scoped threads, an atomic cursor and one
+//! mutex-guarded slot per job. There is one executor — a private claim loop
+//! in which workers take jobs in a fixed claim order and every result is
+//! stored at its job's input position — behind two entry points:
 //!
-//! - [`run_sharded`] — split a mutable slice into contiguous shards and run
-//!   one worker per shard (`Fleet::step`'s read-only decide phase; devices
-//!   are already in stable `DeviceId` order, so contiguous shards preserve
-//!   that order and shard results come back shard-ordered).
-//! - [`par_map`] — map a function over owned items with dynamic scheduling
-//!   but **order-preserving collection** (experiment fan-out: cells finish
+//! - [`run_sharded_balanced`] — split a mutable slice into cost-weighted
+//!   contiguous chunks and claim them in a deterministic steal order that
+//!   is a pure function of `(seed, tick, chunk id)` (see [`StealPlan`]).
+//!   Results come back in chunk (= input) order no matter which worker ran
+//!   which chunk, and a deterministic *virtual* schedule
+//!   ([`VirtualSchedule`]) reports makespan/steal counts in cost units so
+//!   callers can reason about balance without ever reading the wall clock.
+//!   [`static_schedule`] computes the same report for a static contiguous
+//!   partition; it is an overlay for comparison, not a second executor.
+//! - [`par_map`] — map a function over owned items, claimed in input order,
+//!   with **order-preserving collection** (experiment fan-out: cells finish
 //!   in any order, results are reassembled in input order).
-//! - [`run_sharded_balanced`] — skew-aware variant of [`run_sharded`]:
-//!   items are split into cost-weighted chunks and claimed in a
-//!   deterministic steal order that is a pure function of
-//!   `(seed, tick, chunk id)` (see [`StealPlan`]). Results come back in
-//!   chunk (= input) order no matter which worker ran which chunk, and a
-//!   deterministic *virtual* schedule ([`VirtualSchedule`]) reports
-//!   makespan/steal counts in cost units so callers can reason about
-//!   balance without ever reading the wall clock.
+//!
+//! With one thread both run inline on the caller's thread, with no spawn
+//! and no lock.
 //!
 //! Determinism contract: neither function lets scheduling order leak into
 //! results. Output position is fixed by input position, so callers that
@@ -28,13 +29,16 @@
 //! half; keeping closures pure of interior-mutable globals is the caller's
 //! half of the contract.
 //!
-//! A worker panic is propagated to the caller (the scope re-raises it), so
-//! a buggy closure fails loudly instead of producing a short result vector.
+//! Panic contract: a worker panic reaches the caller with its original
+//! payload. Every worker is joined first, then the payload of the first
+//! worker (by worker index) that panicked is re-raised with
+//! [`std::panic::resume_unwind`], so a buggy closure fails loudly with its
+//! own message instead of producing a short result vector.
 
 #![forbid(unsafe_code)]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::Mutex;
 
 /// Number of hardware threads, falling back to 1 when unknown.
 pub fn hardware_threads() -> usize {
@@ -64,7 +68,7 @@ pub fn resolve_threads(requested: usize) -> usize {
 /// Split `len` items into at most `shards` contiguous ranges of near-equal
 /// size. Returns `(start, end)` pairs covering `0..len` exactly once, in
 /// order. Empty when `len == 0`.
-pub fn shard_bounds(len: usize, shards: usize) -> Vec<(usize, usize)> {
+fn shard_bounds(len: usize, shards: usize) -> Vec<(usize, usize)> {
     if len == 0 {
         return Vec::new();
     }
@@ -81,52 +85,61 @@ pub fn shard_bounds(len: usize, shards: usize) -> Vec<(usize, usize)> {
     out
 }
 
-/// Run `f` over contiguous shards of `items` on up to `threads` scoped
-/// threads. Returns one result per shard, in shard (= input) order.
+/// The claim loop behind both executors: `threads` scoped workers pull
+/// positions from a shared atomic cursor, take job `claim(pos)` out of its
+/// slot and run `f` on it. Every result lands in its job's slot, so output
+/// order is input order no matter which worker ran what; each result comes
+/// back with the index of the worker that produced it.
 ///
-/// With `threads <= 1` (or a single shard) the function runs inline on the
-/// caller's thread — no pool, no channel — which is the "legacy sequential
-/// path": bit-identical behaviour is guaranteed by construction because the
-/// parallel path runs the same closure over the same shard ranges.
-///
-/// `f` receives `(shard_index, shard)` so callers can maintain per-shard
-/// scratch state keyed by index.
-pub fn run_sharded<T, R, F>(threads: usize, items: &mut [T], f: F) -> Vec<R>
+/// All workers are joined before anything is returned. If any worker
+/// panicked, the first panicked worker's payload is re-raised on the
+/// caller's thread with [`std::panic::resume_unwind`].
+fn claim_loop<J, R, F>(
+    threads: usize,
+    jobs: Vec<J>,
+    claim: impl Fn(usize) -> usize + Sync,
+    f: F,
+) -> Vec<(R, usize)>
 where
-    T: Send,
+    J: Send,
     R: Send,
-    F: Fn(usize, &mut [T]) -> R + Sync,
+    F: Fn(usize, J) -> R + Sync,
 {
-    let bounds = shard_bounds(items.len(), threads.max(1));
-    if bounds.len() <= 1 {
-        return match items.is_empty() {
-            true => Vec::new(),
-            false => vec![f(0, items)],
-        };
-    }
-    let mut shards: Vec<(usize, &mut [T])> = Vec::with_capacity(bounds.len());
-    let mut rest = items;
-    let mut consumed = 0;
-    for (i, &(start, end)) in bounds.iter().enumerate() {
-        let (head, tail) = rest.split_at_mut(end - start);
-        debug_assert_eq!(consumed, start);
-        consumed = end;
-        shards.push((i, head));
-        rest = tail;
-    }
-    let f = &f;
-    let mut results: Vec<(usize, R)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .into_iter()
-            .map(|(i, shard)| scope.spawn(move || (i, f(i, shard))))
+    let n = jobs.len();
+    let slots: Vec<Mutex<Option<J>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
+    let cursor = AtomicUsize::new(0);
+    let (slots, cursor, claim, f) = (&slots, &cursor, &claim, &f);
+    let joined: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(move || {
+                    let mut done = Vec::new();
+                    loop {
+                        let pos = cursor.fetch_add(1, Ordering::Relaxed);
+                        if pos >= n {
+                            break done;
+                        }
+                        let id = claim(pos);
+                        let job = slots[id]
+                            .lock()
+                            .expect("job slot poisoned")
+                            .take()
+                            .expect("job claimed twice");
+                        done.push((id, f(id, job)));
+                    }
+                })
+            })
             .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("shard worker panicked"))
-            .collect()
+        handles.into_iter().map(|h| h.join()).collect()
     });
-    results.sort_by_key(|&(i, _)| i);
-    results.into_iter().map(|(_, r)| r).collect()
+    let mut out: Vec<Option<(R, usize)>> = (0..n).map(|_| None).collect();
+    for (worker, done) in joined.into_iter().enumerate() {
+        let done = done.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+        for (id, r) in done {
+            out[id] = Some((r, worker));
+        }
+    }
+    out.into_iter().map(|r| r.expect("every job ran")).collect()
 }
 
 /// Map `f` over `items` on up to `threads` scoped threads with dynamic
@@ -149,44 +162,10 @@ where
             .map(|(i, x)| f(i, x))
             .collect();
     }
-    let n = items.len();
-    let slots: Vec<std::sync::Mutex<Option<T>>> = items
+    claim_loop(threads, items, |pos| pos, f)
         .into_iter()
-        .map(|x| std::sync::Mutex::new(Some(x)))
-        .collect();
-    let cursor = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, R)>();
-    let f = &f;
-    let slots = &slots;
-    let cursor = &cursor;
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let tx = tx.clone();
-            scope.spawn(move || loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let item = slots[i]
-                    .lock()
-                    .expect("work slot poisoned")
-                    .take()
-                    .expect("work item taken twice");
-                // A send can only fail if the receiver is gone, which means
-                // the caller's scope already unwound; propagate by panicking.
-                tx.send((i, f(i, item))).expect("result receiver dropped");
-            });
-        }
-        drop(tx);
-        let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        for (i, r) in rx {
-            debug_assert!(out[i].is_none(), "duplicate result for slot {i}");
-            out[i] = Some(r);
-        }
-        out.into_iter()
-            .map(|r| r.expect("missing result slot"))
-            .collect()
-    })
+        .map(|(r, _)| r)
+        .collect()
 }
 
 /// SplitMix64 finalizer: a cheap, high-quality 64-bit bijective mixer.
@@ -215,19 +194,16 @@ pub struct StealPlan {
     /// Tick (or batch) counter; varies the order between ticks so no chunk
     /// is systematically favoured across a run.
     pub tick: u64,
-    /// Target chunks per worker thread. More chunks = finer balancing at
-    /// slightly more claim overhead. Clamped to at least 1.
-    pub chunks_per_thread: usize,
 }
 
+/// Target chunks per worker thread in [`run_sharded_balanced`]. More chunks
+/// mean finer balancing at slightly more claim overhead.
+const CHUNKS_PER_THREAD: usize = 4;
+
 impl StealPlan {
-    /// A plan with the default granularity of 4 chunks per thread.
+    /// A plan for `tick` of the run seeded with `seed`.
     pub fn new(seed: u64, tick: u64) -> Self {
-        StealPlan {
-            seed,
-            tick,
-            chunks_per_thread: 4,
-        }
+        StealPlan { seed, tick }
     }
 
     /// Deterministic tie-break key for `chunk`.
@@ -245,7 +221,7 @@ impl StealPlan {
 /// cost crosses proportional thresholds, so one very hot item gets a chunk
 /// to itself while cold items coalesce. Covers `0..len` exactly; every
 /// chunk is non-empty. Zero total cost degrades to [`shard_bounds`].
-pub fn weighted_chunks(costs: &[u64], target: usize) -> Vec<(usize, usize)> {
+fn weighted_chunks(costs: &[u64], target: usize) -> Vec<(usize, usize)> {
     let len = costs.len();
     if len == 0 {
         return Vec::new();
@@ -280,7 +256,7 @@ pub fn weighted_chunks(costs: &[u64], target: usize) -> Vec<(usize, usize)> {
 /// (longest-processing-time list scheduling), ties broken by a seeded hash
 /// of the chunk id, then by the id itself. A pure function of the plan and
 /// the chunk costs.
-pub fn steal_order(plan: &StealPlan, chunk_costs: &[u64]) -> Vec<usize> {
+fn steal_order(plan: &StealPlan, chunk_costs: &[u64]) -> Vec<usize> {
     let mut order: Vec<usize> = (0..chunk_costs.len()).collect();
     order.sort_by_key(|&i| (std::cmp::Reverse(chunk_costs[i]), plan.key(i), i));
     order
@@ -334,7 +310,7 @@ fn home_workers(chunks: usize, threads: usize) -> Vec<usize> {
 
 /// Simulate claiming `ranges`/`costs` in `order` on `threads` virtual
 /// workers. See [`VirtualSchedule`] for the determinism contract.
-pub fn simulate_schedule(
+fn simulate_schedule(
     threads: usize,
     order: &[usize],
     ranges: &[(usize, usize)],
@@ -376,8 +352,9 @@ pub fn simulate_schedule(
 
 /// The virtual schedule of the *static* strategy: each worker owns a
 /// contiguous block of chunks and runs them in index order, no stealing.
-/// This is what [`run_sharded`] does, expressed in the same cost units so
-/// static and balanced makespans are directly comparable.
+/// Nothing executes this way; it is an overlay in the same cost units as
+/// [`BalancedRun::schedule`], so static and balanced makespans are directly
+/// comparable.
 pub fn static_schedule(
     threads: usize,
     ranges: &[(usize, usize)],
@@ -416,7 +393,8 @@ pub fn static_schedule(
 pub struct BalancedRun<R> {
     /// One result per chunk, in chunk (= input) order.
     pub results: Vec<R>,
-    /// The chunk ranges that were executed (from [`weighted_chunks`]).
+    /// The chunk ranges that were executed: contiguous, non-empty, covering
+    /// the input exactly, with near-equal total cost.
     pub chunks: Vec<(usize, usize)>,
     /// Deterministic virtual schedule of this tick (makespan, per-chunk
     /// start times, virtual steal count). Safe to report.
@@ -427,10 +405,9 @@ pub struct BalancedRun<R> {
     pub actual_steals: u64,
 }
 
-/// Skew-aware [`run_sharded`]: split `items` into cost-weighted chunks
-/// (per-item cost from `cost`), claim them across `threads` workers in the
-/// deterministic steal order of `plan`, and return per-chunk results in
-/// chunk order.
+/// Split `items` into cost-weighted chunks (per-item cost from `cost`),
+/// claim them across `threads` workers in the deterministic steal order of
+/// `plan`, and return per-chunk results in chunk order.
 ///
 /// Determinism contract: the chunk partition, the claim order, the virtual
 /// schedule, and the position of every result are pure functions of
@@ -453,7 +430,7 @@ where
     F: Fn(usize, &mut [T]) -> R + Sync,
 {
     let item_costs: Vec<u64> = items.iter().map(&cost).collect();
-    let target = threads.max(1).saturating_mul(plan.chunks_per_thread.max(1));
+    let target = threads.max(1).saturating_mul(CHUNKS_PER_THREAD);
     let chunks = weighted_chunks(&item_costs, target);
     let chunk_costs: Vec<u64> = chunks
         .iter()
@@ -462,22 +439,15 @@ where
     let order = steal_order(&plan, &chunk_costs);
     let threads = threads.max(1).min(chunks.len().max(1));
     let schedule = simulate_schedule(threads, &order, &chunks, &chunk_costs);
-    if chunks.is_empty() {
-        return BalancedRun {
-            results: Vec::new(),
-            chunks,
-            schedule,
-            actual_steals: 0,
-        };
+    let mut slices: Vec<&mut [T]> = Vec::with_capacity(chunks.len());
+    let mut rest = items;
+    for &(s, e) in &chunks {
+        let (head, tail) = rest.split_at_mut(e - s);
+        slices.push(head);
+        rest = tail;
     }
     if threads <= 1 {
-        let mut slots: Vec<Option<&mut [T]>> = Vec::with_capacity(chunks.len());
-        let mut rest = items;
-        for &(s, e) in &chunks {
-            let (head, tail) = rest.split_at_mut(e - s);
-            slots.push(Some(head));
-            rest = tail;
-        }
+        let mut slots: Vec<Option<&mut [T]>> = slices.into_iter().map(Some).collect();
         let mut results: Vec<Option<R>> = (0..chunks.len()).map(|_| None).collect();
         for &id in &order {
             let chunk = slots[id].take().expect("chunk executed twice");
@@ -486,59 +456,22 @@ where
         return BalancedRun {
             results: results
                 .into_iter()
-                .map(|r| r.expect("missing chunk result"))
+                .map(|r| r.expect("every chunk ran"))
                 .collect(),
             chunks,
             schedule,
             actual_steals: 0,
         };
     }
-    let n = chunks.len();
-    let mut slot_vec: Vec<std::sync::Mutex<Option<&mut [T]>>> = Vec::with_capacity(n);
-    let mut rest = items;
-    for &(s, e) in &chunks {
-        let (head, tail) = rest.split_at_mut(e - s);
-        slot_vec.push(std::sync::Mutex::new(Some(head)));
-        rest = tail;
-    }
-    let cursor = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, usize, R)>();
-    let f = &f;
-    let order = &order;
-    let slots = &slot_vec;
-    let cursor = &cursor;
-    let (results, actual_steals) = std::thread::scope(|scope| {
-        for worker in 0..threads {
-            let tx = tx.clone();
-            scope.spawn(move || loop {
-                let pos = cursor.fetch_add(1, Ordering::Relaxed);
-                if pos >= n {
-                    break;
-                }
-                let id = order[pos];
-                let chunk = slots[id]
-                    .lock()
-                    .expect("chunk slot poisoned")
-                    .take()
-                    .expect("chunk executed twice");
-                tx.send((id, worker, f(id, chunk)))
-                    .expect("result receiver dropped");
-            });
-        }
-        drop(tx);
-        let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        let mut actual_steals = 0u64;
-        for (id, worker, r) in rx {
-            debug_assert!(out[id].is_none(), "duplicate result for chunk {id}");
+    let mut actual_steals = 0u64;
+    let results = claim_loop(threads, slices, |pos| order[pos], f)
+        .into_iter()
+        .enumerate()
+        .map(|(id, (r, worker))| {
             actual_steals += u64::from(worker != schedule.chunks[id].worker);
-            out[id] = Some(r);
-        }
-        let results: Vec<R> = out
-            .into_iter()
-            .map(|r| r.expect("missing chunk result"))
-            .collect();
-        (results, actual_steals)
-    });
+            r
+        })
+        .collect();
     BalancedRun {
         results,
         chunks,
@@ -639,42 +572,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn run_sharded_matches_inline_for_all_thread_counts() {
-        let baseline: Vec<u64> = {
-            let mut items: Vec<u64> = (0..97).collect();
-            run_sharded(1, &mut items, |_, shard| {
-                shard.iter_mut().for_each(|x| *x *= 3);
-                shard.iter().sum::<u64>()
-            })
-        };
-        for threads in 2..=8 {
-            let mut items: Vec<u64> = (0..97).collect();
-            let got = run_sharded(threads, &mut items, |_, shard| {
-                shard.iter_mut().for_each(|x| *x *= 3);
-                shard.iter().sum::<u64>()
-            });
-            // Shard partitioning differs, but totals and mutations must not.
-            assert_eq!(
-                got.iter().sum::<u64>(),
-                baseline.iter().sum::<u64>(),
-                "threads={threads}"
-            );
-            assert_eq!(items, (0..97).map(|x| x * 3).collect::<Vec<u64>>());
-            assert_eq!(got.len(), shard_bounds(97, threads).len());
-        }
-    }
-
-    #[test]
-    fn run_sharded_handles_empty_and_tiny_inputs() {
-        let mut empty: Vec<u32> = Vec::new();
-        let r = run_sharded(4, &mut empty, |_, s| s.len());
-        assert!(r.is_empty());
-        let mut one = vec![7u32];
-        let r = run_sharded(4, &mut one, |i, s| (i, s[0]));
-        assert_eq!(r, vec![(0, 7)]);
     }
 
     #[test]
@@ -828,12 +725,38 @@ mod tests {
     }
 
     #[test]
-    fn run_sharded_balanced_handles_empty_input() {
+    #[should_panic(expected = "boom")]
+    fn par_map_propagates_worker_panic_payload() {
+        par_map(4, (0..16).collect::<Vec<u32>>(), |_, x| {
+            assert!(x != 9, "boom");
+            x
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "boom")]
+    fn run_sharded_balanced_propagates_worker_panic_payload() {
+        let mut items: Vec<u32> = (0..16).collect();
+        run_sharded_balanced(
+            4,
+            StealPlan::new(0, 0),
+            &mut items,
+            |_| 1,
+            |_, chunk| assert!(!chunk.contains(&9), "boom"),
+        );
+    }
+
+    #[test]
+    fn run_sharded_balanced_handles_empty_and_tiny_inputs() {
         let mut empty: Vec<u32> = Vec::new();
         let run = run_sharded_balanced(4, StealPlan::new(0, 0), &mut empty, |_| 1, |_, s| s.len());
         assert!(run.results.is_empty());
         assert!(run.chunks.is_empty());
         assert_eq!(run.schedule.makespan, 0);
+        let mut one = vec![7u32];
+        let run = run_sharded_balanced(4, StealPlan::new(0, 0), &mut one, |_| 1, |i, s| (i, s[0]));
+        assert_eq!(run.results, vec![(0, 7)]);
+        assert_eq!(run.chunks, vec![(0, 1)]);
     }
 
     #[test]

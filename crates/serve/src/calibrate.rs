@@ -23,6 +23,7 @@ use std::time::Instant;
 
 use apdm_guards::GuardContext;
 use apdm_policy::Action;
+use apdm_telemetry as telemetry;
 use serde::{Deserialize, Serialize};
 
 use crate::batcher::CostModel;
@@ -113,7 +114,7 @@ pub fn run_calibration(seed: u64, rounds: usize, tick_budget_ns: u64) -> Calibra
                     };
                     let _ = stack.check(&ctx, &req.proposed, oracle);
                 }
-                let ns = started.elapsed().as_nanos() as f64;
+                let ns = telemetry::elapsed_ns(started) as f64;
                 let after = stack.cache_stats().expect("calibration stack is cached");
                 samples.push(((after.0 - before.0) as f64, (after.1 - before.1) as f64, ns));
             }

@@ -24,6 +24,7 @@
 use std::time::Instant;
 
 use apdm_par::{par_map, resolve_threads, Watchdog};
+use apdm_telemetry as telemetry;
 use serde::{Deserialize, Serialize};
 
 use crate::admission::AdmissionConfig;
@@ -350,7 +351,7 @@ pub fn run_e13_cell(cfg: &E13Config, load: usize, knobs: Knobs) -> E13CellReport
         ledger_records: ledger.len() as u64,
         ledger_digest: ledger.head_digest(),
         watchdog,
-        wall_ns: u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
+        wall_ns: telemetry::elapsed_ns(started),
     }
 }
 
@@ -370,7 +371,7 @@ pub fn run_e13(cfg: &E13Config) -> E13Report {
     E13Report {
         config: cfg.clone(),
         cells,
-        wall_ns: u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
+        wall_ns: telemetry::elapsed_ns(started),
     }
 }
 

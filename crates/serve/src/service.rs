@@ -21,8 +21,8 @@
 //! dequeue ──deadline expired──shed──▶ Deny("shed:deadline")
 //!      │ batch of ≤ max_batch
 //!      ▼
-//! shard by device % shards ──run_sharded(threads)──▶ GuardStack::check_batch
-//!      │ verdicts reassembled in batch order          (per-shard memo cache)
+//! shard by device % shards ──run_sharded_balanced(threads)──▶ GuardStack::check
+//!      │ verdicts reassembled in batch order                   (per-shard memo cache)
 //!      ▼
 //! Decision stream + ledger Verdict records + telemetry
 //! ```
@@ -41,8 +41,6 @@
 //! Every shed path routes through [`Decision::shed`], which can only
 //! construct a denial. Overload makes the service refuse work — it can
 //! never make it approve work it did not evaluate.
-
-use std::time::Instant;
 
 use apdm_guards::{GuardContext, GuardStack, GuardVerdict, HarmOracle};
 use apdm_ledger::{Ledger, RotationPolicy, RunEvent, SegmentedLedger, SegmentedRecorder};
@@ -107,20 +105,21 @@ thread_local! {
 /// the batch counter.
 const SERVE_STEAL_SEED: u64 = 0x5E4E_57EA;
 
-/// How batch evaluation distributes shards across worker threads.
+/// Which virtual schedule the wait accounting charges for each batch.
 ///
-/// Either way the decision stream and the sealed ledger are byte-identical
-/// — scheduling decides *which worker* evaluates a shard and the virtual
-/// wait accounting, never the verdicts or their order.
+/// Batches always execute through [`apdm_par::run_sharded_balanced`]; this
+/// only selects the deterministic overlay that sets each request's virtual
+/// start offset, the batch makespan and the virtual steal count. Either way
+/// the decision stream and the sealed ledger are byte-identical.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Scheduling {
-    /// Contiguous static partition: worker `w` owns a fixed block of
-    /// shards, hot shards queue behind their block-mates (the pre-E15
-    /// behaviour).
+    /// Contiguous static partition ([`apdm_par::static_schedule`]): worker
+    /// `w` owns a fixed block of shards, hot shards queue behind their
+    /// block-mates (the pre-E15 baseline). Reports 0 virtual steals.
     Static,
-    /// Deterministic work-stealing ([`apdm_par::run_sharded_balanced`]):
-    /// shards are claimed heaviest-first in a seeded order, so a hot shard
-    /// starts immediately instead of waiting out its block.
+    /// Deterministic work stealing (the executed schedule): shards are
+    /// claimed heaviest-first in a seeded order, so a hot shard starts
+    /// immediately instead of waiting out its block.
     Balanced,
 }
 
@@ -148,8 +147,8 @@ pub struct ServeConfig {
     /// (burn-rate windows are delimited by the evaluations). `0` disables
     /// SLO monitoring; it is also inert unless telemetry is installed.
     pub slo_every: u64,
-    /// Shard scheduling strategy for batch evaluation. Never affects the
-    /// decision stream or the ledger.
+    /// Virtual schedule overlay for the wait accounting (see
+    /// [`Scheduling`]). Never affects the decision stream or the ledger.
     pub scheduling: Scheduling,
     /// Cross-shard admission backpressure: cap each batch's intake from
     /// shards whose estimated in-flight cost exceeds twice their fair
@@ -504,8 +503,7 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
             for req in &mut batch {
                 req.ctx = stage_event(req.ctx, "serve.batch", req.device, &[("size", size)]);
             }
-            let started = Instant::now();
-            let eval = self.evaluate(&batch, now);
+            let eval = EVAL_NS.with(|hist| telemetry::timed(hist, || self.evaluate(&batch, now)));
             // Shard-stage spans are minted on the driver thread *after* the
             // parallel section (workers carry no telemetry dispatch); the
             // virtual timestamp is the same tick either way.
@@ -528,8 +526,6 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
             self.sched.actual_steals += eval.actual_steals;
             if telemetry::enabled() {
                 BATCH_SIZE.with(|h| h.record(batch.len() as u64));
-                let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                EVAL_NS.with(|h| h.record(ns));
             }
             for ((req, verdict), offset) in batch.iter().zip(eval.verdicts).zip(eval.offsets) {
                 let s = (req.device % shards as u64) as usize;
@@ -721,11 +717,11 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
     }
 
     /// Evaluate one batch: bucket requests by shard, run the shards across
-    /// the worker pool under the configured [`Scheduling`], reassemble
-    /// verdicts in batch order. Alongside the verdicts and the memo-cache
-    /// `(hits, misses)`, returns the batch's deterministic virtual
-    /// schedule (makespan, steals) and each request's virtual start offset
-    /// for the wait overlay.
+    /// the worker pool, reassemble verdicts in batch order. Alongside the
+    /// verdicts and the memo-cache `(hits, misses)`, returns the batch's
+    /// deterministic virtual schedule (makespan, steals) under the
+    /// configured [`Scheduling`] overlay and each request's virtual start
+    /// offset for the wait accounting.
     fn evaluate(&mut self, batch: &[DecisionRequest], now: u64) -> EvalOutcome {
         let shards = self.cfg.shards;
         let cost_model = self.cfg.cost;
@@ -778,30 +774,25 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
             }
             (out, hits, misses)
         };
-        let (shard_results, makespan, virtual_steals, actual_steals, shard_starts) = match self
-            .cfg
-            .scheduling
-        {
+        let plan = apdm_par::StealPlan::new(self.cfg.seed ^ SERVE_STEAL_SEED, self.stats.batches);
+        let run = apdm_par::run_sharded_balanced(
+            self.threads,
+            plan,
+            &mut work,
+            |(_, items)| cost_model.estimate(items.len() as u64),
+            run_slice,
+        );
+        // The virtual overlay: which schedule the wait accounting charges.
+        let (schedule, shard_starts) = match self.cfg.scheduling {
             Scheduling::Static => {
-                // run_sharded hands worker w a contiguous block of
-                // shards — exactly the virtual schedule's home
-                // assignment, so its start times describe this run.
+                // Worker w owns a contiguous block of shards and runs them
+                // in index order.
                 let ranges: Vec<(usize, usize)> = (0..shards).map(|i| (i, i + 1)).collect();
                 let schedule = apdm_par::static_schedule(self.threads, &ranges, &shard_costs);
-                let results = apdm_par::run_sharded(self.threads, &mut work, run_slice);
                 let starts = schedule.chunks.iter().map(|c| c.start).collect();
-                (results, schedule.makespan, 0, 0, starts)
+                (schedule, starts)
             }
             Scheduling::Balanced => {
-                let plan =
-                    apdm_par::StealPlan::new(self.cfg.seed ^ SERVE_STEAL_SEED, self.stats.batches);
-                let run = apdm_par::run_sharded_balanced(
-                    self.threads,
-                    plan,
-                    &mut work,
-                    |(_, items)| cost_model.estimate(items.len() as u64),
-                    run_slice,
-                );
                 // A chunk may span several shards; shards inside it
                 // start back to back from the chunk's virtual start.
                 let mut starts = vec![0u64; shards];
@@ -812,13 +803,7 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
                         t += shard_costs[s];
                     }
                 }
-                (
-                    run.results,
-                    run.schedule.makespan,
-                    run.schedule.steals,
-                    run.actual_steals,
-                    starts,
-                )
+                (run.schedule, starts)
             }
         };
         for (idx, req) in batch.iter().enumerate() {
@@ -826,7 +811,7 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
         }
         let mut verdicts: Vec<Option<GuardVerdict>> = vec![None; batch.len()];
         let (mut hits, mut misses) = (0u64, 0u64);
-        for (pairs, h, m) in shard_results {
+        for (pairs, h, m) in run.results {
             hits += h;
             misses += m;
             for (idx, verdict) in pairs {
@@ -842,9 +827,9 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
             verdicts,
             hits,
             misses,
-            makespan,
-            virtual_steals,
-            actual_steals,
+            makespan: schedule.makespan,
+            virtual_steals: schedule.steals,
+            actual_steals: run.actual_steals,
             offsets,
         }
     }

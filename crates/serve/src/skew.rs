@@ -27,6 +27,7 @@ use std::time::Instant;
 
 use apdm_ledger::Ledger;
 use apdm_par::{par_map, resolve_threads, Watchdog};
+use apdm_telemetry as telemetry;
 use serde::{Deserialize, Serialize};
 
 use crate::admission::AdmissionConfig;
@@ -301,7 +302,7 @@ pub fn run_e15_cell(
         ledger_records: ledger.len() as u64,
         ledger_digest: ledger.head_digest(),
         watchdog,
-        wall_ns: u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
+        wall_ns: telemetry::elapsed_ns(started),
     };
     (report, ledger)
 }
@@ -331,7 +332,7 @@ pub fn run_e15(cfg: &E15Config) -> E15Report {
     E15Report {
         config: cfg.clone(),
         cells,
-        wall_ns: u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
+        wall_ns: telemetry::elapsed_ns(started),
     }
 }
 

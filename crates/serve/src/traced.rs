@@ -465,7 +465,7 @@ pub fn run_e14_mode(cfg: &E14Config, mode: TraceMode) -> (E14ModeReport, Vec<Tra
         dominant_hop,
         slo_evals,
         ticks: now,
-        wall_ns: u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
+        wall_ns: telemetry::elapsed_ns(started),
     };
     (report, records)
 }
@@ -486,7 +486,7 @@ pub fn run_e14(cfg: &E14Config) -> E14Report {
         overhead_sampled: overhead(1),
         overhead_full: overhead(2),
         modes,
-        wall_ns: u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
+        wall_ns: telemetry::elapsed_ns(started),
     }
 }
 

@@ -20,9 +20,9 @@
 //! Determinism: the driver is single-threaded per cell; the only RNG
 //! consumers are the seeded network, the couriers' seeded jitter, the
 //! watchers' seeded misread draws and the formation guard's seeded human
-//! check. The per-tick device decide phase is sharded through
-//! [`apdm_par::run_sharded`] but is a pure read, so a cell's sealed ledger
-//! is bit-identical for every thread count (tests assert it).
+//! check. The per-tick device decide phase fans out through
+//! [`apdm_par::par_map`] but is a pure read, so a cell's sealed ledger is
+//! bit-identical for every thread count (tests assert it).
 
 use std::collections::BTreeMap;
 
@@ -704,19 +704,13 @@ pub fn run_e12_cell(
             }
         }
 
-        // 7. Device decide phase — sharded, pure; then a sequential apply.
+        // 7. Device decide phase — parallel, pure; then a sequential apply.
         let harms_before = harms;
         let hostile = t >= rogue_from;
         let intents: Vec<Option<String>> =
-            apdm_par::run_sharded(cfg.threads.max(1), &mut agents, |_, shard| {
-                shard
-                    .iter()
-                    .map(|a| intent(a, mode, hostile))
-                    .collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect();
+            apdm_par::par_map(cfg.threads, agents.iter().collect(), |_, a| {
+                intent(a, mode, hostile)
+            });
         for (a, chosen) in intents.iter().enumerate() {
             match chosen.as_deref() {
                 Some(name) if name == actions::STRIKE => {

@@ -1,5 +1,5 @@
 use std::collections::BTreeMap;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use apdm_device::{Device, DeviceId};
 use apdm_guards::tamper::{TamperStatus, Tamperable};
@@ -84,10 +84,19 @@ impl PhaseClock {
             return f();
         }
         let out = f();
-        let now = Instant::now();
-        self.acc[phase] += u64::try_from((now - self.last).as_nanos()).unwrap_or(u64::MAX);
-        self.last = now;
+        let ns = telemetry::elapsed_ns(self.last);
+        self.acc[phase] += ns;
+        self.last += Duration::from_nanos(ns);
         out
+    }
+
+    /// Restart the lap from now, after work that was timed elsewhere (the
+    /// decide phase's per-chunk clocks), so the next lap does not charge
+    /// that work a second time.
+    fn resume(&mut self) {
+        if self.enabled {
+            self.last = Instant::now();
+        }
     }
 }
 
@@ -135,8 +144,8 @@ pub struct FleetConfig {
     pub oracle: OracleQuality,
     /// Strike radius (Chebyshev) for direct-harm actions.
     pub strike_radius: i32,
-    /// Worker threads for the decide phase of [`Fleet::step`]: `1` runs the
-    /// classic sequential engine, `0` resolves from `APDM_THREADS` or the
+    /// Worker threads for the decide phase of [`Fleet::step`]: `1` runs it
+    /// inline on the caller's thread, `0` resolves from `APDM_THREADS` or the
     /// machine's available parallelism (see [`apdm_par::resolve_threads`]).
     /// Either way the committed tick — and hence the ledger — is identical.
     pub threads: usize,
@@ -533,16 +542,17 @@ impl Fleet {
 
     /// The read-only half of the tick: propose, sense and guard every
     /// active device against an immutable snapshot of the world, returning
-    /// outcomes sorted by event index. With `threads > 1` the work list is
-    /// sharded contiguously (devices arrive in event order, which scenarios
-    /// emit in stable `DeviceId` order) across a scoped thread pool.
+    /// outcomes sorted by event index. The work list (in event order,
+    /// which scenarios emit in stable `DeviceId` order) runs through
+    /// [`apdm_par::run_sharded_balanced`]: inline at one thread, across
+    /// scoped workers otherwise.
     ///
-    /// Parallel workers run their own lap clocks; their per-phase
-    /// accumulators are summed into the caller's, so measured phase
-    /// durations report aggregate CPU time across workers rather than wall
-    /// time. Worker threads also run with telemetry disabled (dispatch is
-    /// thread-local), so per-stage guard spans are only emitted by the
-    /// sequential engine — the ledger stream is unaffected either way.
+    /// Every chunk runs its own lap clock; the per-phase accumulators are
+    /// summed into the caller's, so measured phase durations report
+    /// aggregate CPU time across workers rather than wall time. Worker
+    /// threads run with telemetry disabled (dispatch is thread-local), so
+    /// guard metrics are only recorded when the chunks run inline — the
+    /// ledger stream is unaffected either way.
     fn decide(
         &mut self,
         world: &World,
@@ -578,52 +588,42 @@ impl Fleet {
             (work, world_token)
         });
 
-        let threads = apdm_par::resolve_threads(config.threads).min(work.len().max(1));
-        let mut outcomes: Vec<TickOutcome> = Vec::with_capacity(work.len());
-        if threads <= 1 {
-            for item in &mut work {
-                if let Some(outcome) =
-                    Self::decide_one(&config, world, world_token, tick, item, clock)
-                {
-                    outcomes.push(outcome);
-                }
-            }
-        } else {
-            let measured = clock.enabled;
-            // Balanced scheduling: devices are claimed in cost-weighted
-            // chunks whose steal order is a pure function of (seed, tick,
-            // chunk id), so the merged outcome stream — and the committed
-            // ledger — is identical at any thread count.
-            let plan = apdm_par::StealPlan::new(FLEET_STEAL_SEED, tick);
-            let run = apdm_par::run_sharded_balanced(
-                threads,
-                plan,
-                &mut work,
-                |_| 1,
-                |_, chunk| {
-                    let mut local = PhaseClock::start(measured);
-                    let mut outs = Vec::with_capacity(chunk.len());
-                    for item in chunk {
-                        if let Some(outcome) =
-                            Self::decide_one(&config, world, world_token, tick, item, &mut local)
-                        {
-                            outs.push(outcome);
-                        }
+        let measured = clock.enabled;
+        // Balanced scheduling: devices are claimed in cost-weighted chunks
+        // whose steal order is a pure function of (seed, tick, chunk id),
+        // so the merged outcome stream — and the committed ledger — is
+        // identical at any thread count. One thread runs the chunks inline.
+        let plan = apdm_par::StealPlan::new(FLEET_STEAL_SEED, tick);
+        let run = apdm_par::run_sharded_balanced(
+            apdm_par::resolve_threads(config.threads),
+            plan,
+            &mut work,
+            |_| 1,
+            |_, chunk| {
+                let mut local = PhaseClock::start(measured);
+                let mut outs = Vec::with_capacity(chunk.len());
+                for item in chunk {
+                    if let Some(outcome) =
+                        Self::decide_one(&config, world, world_token, tick, item, &mut local)
+                    {
+                        outs.push(outcome);
                     }
-                    (outs, local.acc)
-                },
-            );
-            for (outs, acc) in run.results {
-                for (phase, ns) in acc.into_iter().enumerate() {
-                    clock.acc[phase] += ns;
                 }
-                outcomes.extend(outs);
+                (outs, local.acc)
+            },
+        );
+        clock.resume();
+        let mut outcomes: Vec<TickOutcome> = Vec::with_capacity(work.len());
+        for (outs, acc) in run.results {
+            for (phase, ns) in acc.into_iter().enumerate() {
+                clock.acc[phase] += ns;
             }
-            // Chunk results come back in chunk (= event) order regardless
-            // of which worker ran which chunk; the sort is a cheap
-            // structural guarantee, not a reordering.
-            outcomes.sort_by_key(|o| o.event_idx);
+            outcomes.extend(outs);
         }
+        // Chunk results come back in chunk (= event) order regardless of
+        // which worker ran which chunk; the sort is a cheap structural
+        // guarantee, not a reordering.
+        outcomes.sort_by_key(|o| o.event_idx);
         outcomes
     }
 

@@ -90,8 +90,8 @@ pub use context::{
 };
 pub use export::{export_chrome, export_jsonl, import_jsonl, record_to_json, ImportError};
 pub use metrics::{
-    bucket_index, bucket_upper_edge, CachedCounter, CachedHistogram, Counter, Gauge, Histogram,
-    HistogramSummary, Registry, Sampler, BUCKETS,
+    bucket_index, bucket_upper_edge, elapsed_ns, sampled_timed, timed, CachedCounter,
+    CachedHistogram, Counter, Gauge, Histogram, HistogramSummary, Registry, Sampler, BUCKETS,
 };
 pub use record::{FieldValue, Level, Name, RecordKind, TraceRecord, VirtualTs};
 pub use slo::{SloMonitor, SloSource, SloSpec, SloStatus};

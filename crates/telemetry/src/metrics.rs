@@ -11,8 +11,9 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
-use crate::subscriber::with_registry;
+use crate::subscriber::{enabled, with_registry};
 
 /// Source of unique [`Registry::id`] values; lets cached handles detect
 /// that a different registry has been installed.
@@ -523,6 +524,37 @@ impl Clone for Sampler {
     fn clone(&self) -> Self {
         Sampler::every(self.period)
     }
+}
+
+/// Nanoseconds elapsed since `started`, saturating at `u64::MAX`.
+#[inline]
+pub fn elapsed_ns(started: Instant) -> u64 {
+    u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// Run `f`, recording its wall latency into `hist` when a telemetry
+/// dispatch is installed; a bare call otherwise.
+#[inline]
+pub fn timed<R>(hist: &CachedHistogram, f: impl FnOnce() -> R) -> R {
+    if !enabled() {
+        return f();
+    }
+    let started = Instant::now();
+    let out = f();
+    hist.record(elapsed_ns(started));
+    out
+}
+
+/// Like [`timed`], but only calls that `sampler` picks pay the clock reads.
+#[inline]
+pub fn sampled_timed<R>(hist: &CachedHistogram, sampler: &Sampler, f: impl FnOnce() -> R) -> R {
+    if !enabled() || !sampler.sample() {
+        return f();
+    }
+    let started = Instant::now();
+    let out = f();
+    hist.record(elapsed_ns(started));
+    out
 }
 
 /// Format a nanosecond quantity with an adaptive unit.

@@ -61,7 +61,7 @@ impl Drop for Span {
         // blindly, so a stack desynced by a panicking subscriber still
         // converges.
         SPAN_STACK.with(|s| s.borrow_mut().truncate(live.depth));
-        let dur_ns = u64::try_from(live.started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let dur_ns = crate::elapsed_ns(live.started);
         emit(
             RecordKind::SpanEnd,
             live.name,

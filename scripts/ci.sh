@@ -16,6 +16,11 @@ cargo build --release
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+# The benchmark package sits outside the workspace; build and test it so an
+# API change in the crates it drives cannot break it unnoticed.
+echo "==> anatomy-bench tests (cargo test --release --manifest-path anatomy-bench/Cargo.toml)"
+cargo test --release --offline --locked --manifest-path anatomy-bench/Cargo.toml
+
 echo "==> cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
