@@ -19,8 +19,9 @@ use std::time::Duration;
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 
-use apdm_bench::{banner, TABLE_SEED};
-use apdm_serve::{run_e13, run_e13_cell, E13Config, E13Report, Knobs};
+use apdm_bench::{
+    assert_reproducible, banner, run_e13, run_e13_cell, E13Config, E13Report, Knobs, TABLE_SEED,
+};
 
 const REPORT_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_e13_serve.json");
 
@@ -136,44 +137,13 @@ fn print_table() {
         ..E13Config::default()
     };
     let report = run_e13(&cfg);
-
-    println!(
-        "{:<6} {:<22} {:>8} {:>8} {:>7} {:>9} {:>6} {:>6} {:>7} {:>8}",
-        "load", "knobs", "decided", "shed", "shed%", "thruput", "p50", "p99", "p99.9", "hit%"
-    );
-    for c in &report.cells {
-        let hit_rate = if c.cache_hits + c.cache_misses == 0 {
-            0.0
-        } else {
-            c.cache_hits as f64 / (c.cache_hits + c.cache_misses) as f64
-        };
-        println!(
-            "{:<6} {:<22} {:>8} {:>8} {:>7.3} {:>9.2} {:>6} {:>6} {:>7} {:>8.3}",
-            c.load,
-            c.label,
-            c.decided,
-            c.shed,
-            c.shed_rate,
-            c.throughput,
-            c.p50_queue_ticks,
-            c.p99_queue_ticks,
-            c.p999_queue_ticks,
-            hit_rate,
-        );
-    }
+    report.print_table();
 
     assert_acceptance(&report);
 
     // Determinism acceptance: a second identical sweep must reproduce the
-    // report byte-for-byte once wall-clock fields are stripped.
-    let rerun = run_e13(&cfg);
-    let (a, b) = (report.normalized(), rerun.normalized());
-    assert_eq!(a, b, "E13: two identical sweeps diverged");
-    assert_eq!(
-        serde_json::to_string(&a).expect("serializable report"),
-        serde_json::to_string(&b).expect("serializable report"),
-        "E13: normalized reports must serialize identically"
-    );
+    // report once wall-clock fields are stripped.
+    assert_reproducible("E13", &report, || run_e13(&cfg));
     println!("\ndeterminism: second sweep identical modulo wall-clock");
 
     match apdm_bench::write_report(REPORT_PATH, &report) {

@@ -19,14 +19,15 @@
 //! report is written to `BENCH_e14_tracing.json` at the repository root
 //! for EXPERIMENTS.md.
 //!
-//! [`TraceMode`]: apdm_serve::TraceMode
+//! [`TraceMode`]: apdm_bench::TraceMode
 
 use std::time::Duration;
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 
-use apdm_bench::{banner, TABLE_SEED};
-use apdm_serve::{run_e14, run_e14_mode, E14Config, E14Report, TraceMode};
+use apdm_bench::{
+    assert_reproducible, banner, run_e14, run_e14_mode, E14Config, E14Report, TraceMode, TABLE_SEED,
+};
 
 const REPORT_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_e14_tracing.json");
 
@@ -151,12 +152,7 @@ fn print_table() {
 
     // Determinism acceptance: a second sweep reproduces everything but the
     // wall clock.
-    let rerun = run_e14(&cfg);
-    assert_eq!(
-        report.normalized(),
-        rerun.normalized(),
-        "E14: two identical runs diverged"
-    );
+    assert_reproducible("E14", &report, || run_e14(&cfg));
     println!("determinism: second run identical modulo wall-clock");
 
     match apdm_bench::write_report(REPORT_PATH, &report) {

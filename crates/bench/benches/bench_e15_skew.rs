@@ -22,8 +22,10 @@ use std::time::Duration;
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 
-use apdm_bench::{banner, TABLE_SEED};
-use apdm_serve::{run_e15, run_e15_cell, E15Config, E15Report, Scheduling};
+use apdm_bench::{
+    assert_reproducible, banner, run_e15, run_e15_cell, E15Config, E15Report, TABLE_SEED,
+};
+use apdm_serve::Scheduling;
 
 const REPORT_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_e15_skew.json");
 
@@ -148,15 +150,8 @@ fn print_table() {
     assert_acceptance(&report);
 
     // Determinism acceptance: a second identical sweep must reproduce the
-    // report byte-for-byte once wall-clock fields are stripped.
-    let rerun = run_e15(&cfg);
-    let (a, b) = (report.normalized(), rerun.normalized());
-    assert_eq!(a, b, "E15: two identical sweeps diverged");
-    assert_eq!(
-        serde_json::to_string(&a).expect("serializable report"),
-        serde_json::to_string(&b).expect("serializable report"),
-        "E15: normalized reports must serialize identically"
-    );
+    // report once wall-clock fields are stripped.
+    assert_reproducible("E15", &report, || run_e15(&cfg));
     println!("\ndeterminism: second sweep identical modulo wall-clock");
 
     match apdm_bench::write_report(REPORT_PATH, &report) {
@@ -182,10 +177,7 @@ fn bench(c: &mut Criterion) {
         (Scheduling::Balanced, 8),
     ] {
         group.bench_with_input(
-            BenchmarkId::new(
-                "cell",
-                format!("zipf=1.2/{}/t={threads}", E15Config::sched_label(sched)),
-            ),
+            BenchmarkId::new("cell", format!("zipf=1.2/{}/t={threads}", sched.label())),
             &(sched, threads),
             |b, &(s, t)| {
                 b.iter(|| run_e15_cell(&cfg, 1.2, s, t));

@@ -26,8 +26,10 @@ use std::time::Duration;
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 
-use apdm_bench::{banner, TABLE_SEED};
-use apdm_serve::{run_e16, run_e16_cell, E16Config, E16Report, Scheduling};
+use apdm_bench::{
+    assert_reproducible, banner, run_e16, run_e16_cell, E16Config, E16Report, TABLE_SEED,
+};
+use apdm_serve::Scheduling;
 
 const REPORT_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_e16_crash.json");
 
@@ -128,15 +130,8 @@ fn print_table() {
     assert_acceptance(&report);
 
     // Determinism acceptance: a second identical sweep must reproduce the
-    // report byte-for-byte once wall-clock fields are stripped.
-    let rerun = run_e16(&cfg);
-    let (a, b) = (report.normalized(), rerun.normalized());
-    assert_eq!(a, b, "E16: two identical sweeps diverged");
-    assert_eq!(
-        serde_json::to_string(&a).expect("serializable report"),
-        serde_json::to_string(&b).expect("serializable report"),
-        "E16: normalized reports must serialize identically"
-    );
+    // report once wall-clock fields are stripped.
+    assert_reproducible("E16", &report, || run_e16(&cfg));
     println!("\ndeterminism: second sweep identical modulo wall-clock");
 
     match apdm_bench::write_report(REPORT_PATH, &report) {

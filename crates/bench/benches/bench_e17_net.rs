@@ -27,8 +27,7 @@ use std::time::Duration;
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 
-use apdm_bench::{banner, TABLE_SEED};
-use apdm_net::{run_e17, E17Config, E17Report};
+use apdm_bench::{assert_reproducible, banner, run_e17, E17Config, E17Report, TABLE_SEED};
 
 const REPORT_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_e17_net.json");
 
@@ -120,15 +119,8 @@ fn print_table() {
     assert_acceptance(&report);
 
     // Determinism acceptance: a second identical sweep must reproduce the
-    // report byte-for-byte once wall-clock fields are stripped.
-    let rerun = run_e17(&cfg).expect("E17 rerun runs");
-    let (a, b) = (report.normalized(), rerun.normalized());
-    assert_eq!(a, b, "E17: two identical sweeps diverged");
-    assert_eq!(
-        serde_json::to_string(&a).expect("serializable report"),
-        serde_json::to_string(&b).expect("serializable report"),
-        "E17: normalized reports must serialize identically"
-    );
+    // report once wall-clock fields are stripped.
+    assert_reproducible("E17", &report, || run_e17(&cfg).expect("E17 rerun runs"));
     println!("\ndeterminism: second sweep identical modulo wall-clock");
 
     match apdm_bench::write_report(REPORT_PATH, &report) {

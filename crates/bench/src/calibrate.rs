@@ -1,4 +1,4 @@
-//! Wall-clock calibration of the virtual [`CostModel`].
+//! Wall-clock calibration of the serving layer's virtual [`CostModel`].
 //!
 //! The serving layer's saturation and shed curves are driven by a *virtual*
 //! cost model so they stay bit-reproducible. That model is only honest if
@@ -23,11 +23,9 @@ use std::time::Instant;
 
 use apdm_guards::GuardContext;
 use apdm_policy::Action;
+use apdm_serve::{standard_stacks, CostModel, WorkloadGen, WorkloadOracle, WorkloadSpec};
 use apdm_telemetry as telemetry;
 use serde::{Deserialize, Serialize};
-
-use crate::batcher::CostModel;
-use crate::workload::{standard_stacks, WorkloadGen, WorkloadOracle, WorkloadSpec};
 
 /// Batch sizes cycled through while sampling (mixed sizes keep the design
 /// matrix well-conditioned: overhead separates from per-request cost).

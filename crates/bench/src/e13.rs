@@ -18,20 +18,19 @@
 //!    denial — the fail-closed property, checked over every cell.
 //!
 //! Everything except the `wall_ns` fields is deterministic in the seed;
-//! [`E13Report::normalized`] strips those fields for run-to-run equality
-//! checks.
+//! [`assert_reproducible`](crate::assert_reproducible) strips those
+//! fields for run-to-run equality checks.
+//!
+//! [`PolicyDecisionService`]: apdm_serve::PolicyDecisionService
 
 use std::time::Instant;
 
-use apdm_par::{par_map, resolve_threads, Watchdog};
+use apdm_par::{par_map, resolve_threads};
+use apdm_serve::{AdmissionConfig, BatchPolicy, ServeConfig, WorkloadSpec};
 use apdm_telemetry as telemetry;
 use serde::{Deserialize, Serialize};
 
-use crate::admission::AdmissionConfig;
-use crate::batcher::BatchPolicy;
-use crate::request::Decision;
-use crate::service::{PolicyDecisionService, Scheduling, ServeConfig};
-use crate::workload::{standard_stacks, WorkloadGen, WorkloadOracle, WorkloadSpec};
+use crate::cell::{percentile, run_cell};
 
 /// Sweep configuration for experiment E13.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -204,15 +203,33 @@ pub struct E13Report {
 }
 
 impl E13Report {
-    /// A copy with every wall-clock field zeroed: two sweeps over the same
-    /// config must compare equal under this projection.
-    pub fn normalized(&self) -> E13Report {
-        let mut report = self.clone();
-        report.wall_ns = 0;
-        for cell in &mut report.cells {
-            cell.wall_ns = 0;
+    /// Print the human-readable sweep table: one row per (load × knobs)
+    /// cell.
+    pub fn print_table(&self) {
+        println!(
+            "{:<6} {:<22} {:>8} {:>8} {:>7} {:>9} {:>6} {:>6} {:>7} {:>8}",
+            "load", "knobs", "decided", "shed", "shed%", "thruput", "p50", "p99", "p99.9", "hit%"
+        );
+        for c in &self.cells {
+            let hit_rate = if c.cache_hits + c.cache_misses == 0 {
+                0.0
+            } else {
+                c.cache_hits as f64 / (c.cache_hits + c.cache_misses) as f64
+            };
+            println!(
+                "{:<6} {:<22} {:>8} {:>8} {:>7.3} {:>9.2} {:>6} {:>6} {:>7} {:>8.3}",
+                c.load,
+                c.label,
+                c.decided,
+                c.shed,
+                c.shed_rate,
+                c.throughput,
+                c.p50_queue_ticks,
+                c.p99_queue_ticks,
+                c.p999_queue_ticks,
+                hit_rate,
+            );
         }
-        report
     }
 
     /// The cell for `(load, knobs)`, if present.
@@ -223,20 +240,8 @@ impl E13Report {
     }
 }
 
-/// `q`-quantile (0..=1) of an unsorted latency sample, by rank. Returns 0
-/// for an empty sample.
-pub(crate) fn percentile(latencies: &mut [u64], q: f64) -> u64 {
-    if latencies.is_empty() {
-        return 0;
-    }
-    latencies.sort_unstable();
-    let rank = ((latencies.len() as f64) * q).ceil() as usize;
-    latencies[rank.clamp(1, latencies.len()) - 1]
-}
-
 /// Run one E13 cell: one service instance, one workload, one knob setting.
 pub fn run_e13_cell(cfg: &E13Config, load: usize, knobs: Knobs) -> E13CellReport {
-    let started = Instant::now();
     let spec = WorkloadSpec {
         seed: cfg.seed ^ (load as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
         per_tick: load,
@@ -261,59 +266,19 @@ pub fn run_e13_cell(cfg: &E13Config, load: usize, knobs: Knobs) -> E13CellReport
         } else {
             BatchPolicy::unbatched()
         },
-        cost: Default::default(),
         cache: knobs.cache,
-        slo_every: 0,
-        scheduling: Scheduling::Balanced,
-        backpressure: false,
-        rotation: None,
+        ..ServeConfig::default()
     };
     let label = knobs.label();
-    let mut svc = PolicyDecisionService::new(
+    let run = run_cell(
+        spec,
         serve_cfg,
-        standard_stacks(cfg.shards, knobs.cache),
-        WorkloadOracle,
         &format!("e13/{label}/load{load}"),
+        cfg.max_ticks,
+        |_, _| {},
     );
-    let mut gen = WorkloadGen::new(spec);
-    let offered = gen.total_offered();
-
-    let mut dog = Watchdog::new(cfg.max_ticks);
-    let mut watchdog = None;
-    let mut latencies: Vec<u64> = Vec::new();
-    let mut shed_allows = 0u64;
-    let mut collect = |d: Decision, latencies: &mut Vec<u64>| {
-        if d.shed.is_some() {
-            if d.verdict.permits_execution() {
-                shed_allows += 1;
-            }
-        } else {
-            latencies.push(d.queue_ticks());
-        }
-    };
-    let mut now = 0u64;
-    loop {
-        now += 1;
-        if let Err(trip) = dog.charge(1) {
-            watchdog = Some(trip.to_string());
-            break;
-        }
-        for req in gen.tick_requests(now) {
-            if let Some(d) = svc.submit(req, now) {
-                collect(d, &mut latencies);
-            }
-        }
-        for d in svc.tick(now) {
-            collect(d, &mut latencies);
-        }
-        if now >= cfg.arrival_ticks && svc.queue_depth() == 0 {
-            break;
-        }
-    }
-    let ticks = now;
-    let (ledger, stats) = svc.finish(now);
-    ledger.verify().expect("cell ledger must verify");
-
+    let (stats, ticks, offered) = (run.stats, run.final_tick, run.offered);
+    let mut latencies = run.queue_latencies();
     let max_queue_ticks = latencies.iter().copied().max().unwrap_or(0);
     E13CellReport {
         label,
@@ -327,7 +292,7 @@ pub fn run_e13_cell(cfg: &E13Config, load: usize, knobs: Knobs) -> E13CellReport
         shed_capacity: stats.shed_capacity,
         shed_quota: stats.shed_quota,
         shed_deadline: stats.shed_deadline,
-        shed_allows,
+        shed_allows: run.shed_allows(),
         allowed: stats.allowed,
         denied: stats.denied,
         replaced: stats.replaced,
@@ -348,10 +313,10 @@ pub fn run_e13_cell(cfg: &E13Config, load: usize, knobs: Knobs) -> E13CellReport
         max_queue_ticks,
         max_queue_depth: stats.max_queue_depth,
         cost_spent: stats.cost_spent,
-        ledger_records: ledger.len() as u64,
-        ledger_digest: ledger.head_digest(),
-        watchdog,
-        wall_ns: telemetry::elapsed_ns(started),
+        ledger_records: run.ledger.total_records() as u64,
+        ledger_digest: run.ledger.head_digest(),
+        watchdog: run.watchdog.map(|trip| trip.to_string()),
+        wall_ns: run.wall_ns,
     }
 }
 
@@ -386,16 +351,6 @@ mod tests {
             max_ticks: 2_000,
             ..E13Config::default()
         }
-    }
-
-    #[test]
-    fn percentile_ranks_are_exact() {
-        let mut sample: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile(&mut sample, 0.50), 50);
-        assert_eq!(percentile(&mut sample, 0.99), 99);
-        assert_eq!(percentile(&mut sample, 0.999), 100);
-        assert_eq!(percentile(&mut [], 0.5), 0);
-        assert_eq!(percentile(&mut [7], 0.999), 7);
     }
 
     #[test]
@@ -475,14 +430,33 @@ mod tests {
             max_ticks: 1_000,
             ..E13Config::default()
         };
-        let a = run_e13(&cfg).normalized();
-        let b = run_e13(&cfg).normalized();
-        assert_eq!(a, b);
-        let json_a = serde_json::to_string(&a).unwrap();
-        let json_b = serde_json::to_string(&b).unwrap();
+        crate::assert_reproducible("E13", &run_e13(&cfg), || run_e13(&cfg));
+    }
+
+    #[test]
+    fn a_tick_budget_too_small_to_drain_trips_the_watchdog() {
+        let cfg = E13Config {
+            max_ticks: 5,
+            ..tiny()
+        };
+        let knobs = Knobs {
+            batching: true,
+            cache: true,
+            shedding: true,
+        };
+        let cell = run_e13_cell(&cfg, 2, knobs);
         assert_eq!(
-            json_a, json_b,
-            "normalized reports must serialize identically"
+            cell.watchdog.as_deref(),
+            Some("watchdog tripped: tick budget of 5 exhausted (livelocked cell?)")
         );
+        assert_eq!(
+            cell.ticks, 6,
+            "the trip lands on the first tick past the budget"
+        );
+        assert!(
+            cell.decided + cell.shed < cell.offered,
+            "the cell was cut short"
+        );
+        assert_eq!(cell.shed_allows, 0);
     }
 }

@@ -27,22 +27,28 @@
 //! measured end-to-end tick latency.
 //!
 //! Everything except `wall_ns` (and the overhead ratios derived from it)
-//! is deterministic in the seed; [`E14Report::normalized`] strips those
-//! fields for run-to-run equality checks.
+//! is deterministic in the seed;
+//! [`assert_reproducible`](crate::assert_reproducible) strips those fields
+//! for run-to-run equality checks.
+//!
+//! Unlike the other serving experiments, E14 drives its own tick loop
+//! rather than [`run_to_completion`](apdm_serve::run_to_completion): each
+//! tick also steps the couriers and the simulated link.
+//!
+//! [`PolicyDecisionService`]: apdm_serve::PolicyDecisionService
 
 use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::time::Instant;
 
 use apdm_comms::{CommsConfig, Courier, Envelope, Incoming};
+use apdm_serve::{Decision, DecisionRequest, ServeConfig, WorkloadGen, WorkloadSpec};
 use apdm_simnet::{Link, Network, NodeId, Topology};
 use apdm_telemetry as telemetry;
 use apdm_telemetry::{trace_id, TraceGraph, TraceRecord, TraceSampler};
 use serde::{Deserialize, Serialize};
 
-use crate::request::{Decision, DecisionRequest};
-use crate::service::{PolicyDecisionService, ServeConfig};
-use crate::workload::{standard_stacks, WorkloadGen, WorkloadOracle, WorkloadSpec};
+use crate::cell::build_service;
 
 /// Wire payload of the traced pipeline.
 #[derive(Debug, Clone, PartialEq)]
@@ -220,19 +226,6 @@ pub struct E14Report {
 }
 
 impl E14Report {
-    /// A copy with every wall-clock-derived field zeroed: two runs over the
-    /// same config must compare equal under this projection.
-    pub fn normalized(&self) -> E14Report {
-        let mut report = self.clone();
-        report.wall_ns = 0;
-        report.overhead_sampled = 0.0;
-        report.overhead_full = 0.0;
-        for mode in &mut report.modes {
-            mode.wall_ns = 0;
-        }
-        report
-    }
-
     /// The report for one mode, if present.
     pub fn mode(&self, mode: TraceMode) -> Option<&E14ModeReport> {
         self.modes.iter().find(|m| m.mode == mode.label())
@@ -269,7 +262,7 @@ pub fn run_e14_mode(cfg: &E14Config, mode: TraceMode) -> (E14ModeReport, Vec<Tra
     let mut client = Courier::new(client_node, comms_cfg, cfg.seed ^ 0xC11E);
     let mut server = Courier::new(server_node, comms_cfg, cfg.seed ^ 0x5E4E);
 
-    let mut svc = PolicyDecisionService::new(
+    let mut svc = build_service(
         ServeConfig {
             seed: cfg.seed,
             threads: cfg.threads,
@@ -278,8 +271,6 @@ pub fn run_e14_mode(cfg: &E14Config, mode: TraceMode) -> (E14ModeReport, Vec<Tra
             slo_every: cfg.slo_every,
             ..ServeConfig::default()
         },
-        standard_stacks(cfg.shards, true),
-        WorkloadOracle,
         &format!("e14/{}", mode.label()),
     );
     let mut gen = WorkloadGen::new(WorkloadSpec {
@@ -360,7 +351,7 @@ pub fn run_e14_mode(cfg: &E14Config, mode: TraceMode) -> (E14ModeReport, Vec<Tra
                 }
             } else if let Some(Incoming::Response {
                 ctx,
-                payload: ServeMsg::Decision(decision),
+                payload: ServeMsg::Decision(_),
                 ..
             }) = client.accept(&mut net, d, now)
             {
@@ -371,7 +362,6 @@ pub fn run_e14_mode(cfg: &E14Config, mode: TraceMode) -> (E14ModeReport, Vec<Tra
                         telemetry::emit_event("client.done", telemetry::Level::Debug, fields);
                     }
                 }
-                let _ = decision;
                 completed += 1;
             }
         }
@@ -549,9 +539,7 @@ mod tests {
     #[test]
     fn e14_is_deterministic_modulo_wall_clock() {
         let cfg = E14Config::smoke();
-        let a = run_e14(&cfg).normalized();
-        let b = run_e14(&cfg).normalized();
-        assert_eq!(a, b);
+        crate::assert_reproducible("E14", &run_e14(&cfg), || run_e14(&cfg));
         let (_, r1) = run_e14_mode(&cfg, TraceMode::Full);
         let (_, r2) = run_e14_mode(&cfg, TraceMode::Full);
         assert_eq!(r1, r2, "trace streams must be bit-identical");

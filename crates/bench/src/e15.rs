@@ -22,20 +22,18 @@
 //! The workload seed, the recorder name, and therefore the ledger bytes
 //! depend only on `(seed, zipf)` — never on scheduling mode or thread
 //! count — which is what makes claim 2 checkable byte for byte.
+//!
+//! [`PolicyDecisionService`]: apdm_serve::PolicyDecisionService
 
 use std::time::Instant;
 
 use apdm_ledger::Ledger;
-use apdm_par::{par_map, resolve_threads, Watchdog};
+use apdm_par::{par_map, resolve_threads};
+use apdm_serve::{Scheduling, ServeConfig, WorkloadSpec};
 use apdm_telemetry as telemetry;
 use serde::{Deserialize, Serialize};
 
-use crate::admission::AdmissionConfig;
-use crate::batcher::{BatchPolicy, CostModel};
-use crate::experiment::percentile;
-use crate::request::Decision;
-use crate::service::{PolicyDecisionService, Scheduling, ServeConfig};
-use crate::workload::{standard_stacks, WorkloadGen, WorkloadOracle, WorkloadSpec};
+use crate::cell::{percentile, run_cell};
 
 /// Sweep configuration for experiment E15.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -88,14 +86,6 @@ impl E15Config {
             threads_sweep: vec![1, 3],
             max_ticks: 4_000,
             ..E15Config::default()
-        }
-    }
-
-    /// Stable label for a scheduling mode (used in reports and CLI flags).
-    pub fn sched_label(sched: Scheduling) -> &'static str {
-        match sched {
-            Scheduling::Static => "static",
-            Scheduling::Balanced => "balanced",
         }
     }
 }
@@ -163,20 +153,9 @@ pub struct E15Report {
 }
 
 impl E15Report {
-    /// A copy with every wall-clock field zeroed: two sweeps over the same
-    /// config must compare equal under this projection.
-    pub fn normalized(&self) -> E15Report {
-        let mut report = self.clone();
-        report.wall_ns = 0;
-        for cell in &mut report.cells {
-            cell.wall_ns = 0;
-        }
-        report
-    }
-
     /// The cell for `(zipf, sched, threads)`, if present.
     pub fn cell(&self, zipf: f64, sched: Scheduling, threads: usize) -> Option<&E15CellReport> {
-        let label = E15Config::sched_label(sched);
+        let label = sched.label();
         self.cells
             .iter()
             .find(|c| c.zipf == zipf && c.sched == label && c.threads == threads)
@@ -205,69 +184,26 @@ pub fn run_e15_cell(
     sched: Scheduling,
     threads: usize,
 ) -> (E15CellReport, Ledger) {
-    let started = Instant::now();
     let spec = skew_spec(cfg, zipf);
     let serve_cfg = ServeConfig {
         seed: spec.seed,
         threads,
         shards: cfg.shards,
-        admission: AdmissionConfig::default(),
-        batch: BatchPolicy::default(),
-        cost: CostModel::default(),
-        cache: true,
-        slo_every: 0,
         scheduling: sched,
         backpressure: true,
-        rotation: None,
+        ..ServeConfig::default()
     };
     // The recorder name must not mention scheduling or threads: the sealed
     // ledger is asserted byte-identical across both.
-    let mut svc = PolicyDecisionService::new(
+    let mut run = run_cell(
+        spec,
         serve_cfg,
-        standard_stacks(cfg.shards, true),
-        WorkloadOracle,
         &format!("e15/zipf{zipf:.2}"),
+        cfg.max_ticks,
+        |_, _| {},
     );
-    let mut gen = WorkloadGen::new(spec);
-    let offered = gen.total_offered();
-
-    let mut dog = Watchdog::new(cfg.max_ticks);
-    let mut watchdog = None;
-    let mut latencies: Vec<u64> = Vec::new();
-    let mut shed_allows = 0u64;
-    let mut collect = |d: Decision, latencies: &mut Vec<u64>| {
-        if d.shed.is_some() {
-            if d.verdict.permits_execution() {
-                shed_allows += 1;
-            }
-        } else {
-            latencies.push(d.queue_ticks());
-        }
-    };
-    let mut now = 0u64;
-    loop {
-        now += 1;
-        if let Err(trip) = dog.charge(1) {
-            watchdog = Some(trip.to_string());
-            break;
-        }
-        for req in gen.tick_requests(now) {
-            if let Some(d) = svc.submit(req, now) {
-                collect(d, &mut latencies);
-            }
-        }
-        for d in svc.tick(now) {
-            collect(d, &mut latencies);
-        }
-        if now >= cfg.arrival_ticks && svc.queue_depth() == 0 {
-            break;
-        }
-    }
-    let mut shard_waits = svc.drain_shard_waits();
-    let sched_summary = svc.sched_summary();
-    let stats = svc.stats();
-    let (ledger, _) = svc.finish(now);
-    ledger.verify().expect("cell ledger must verify");
+    let stats = run.stats;
+    let mut shard_waits = std::mem::take(&mut run.shard_waits);
 
     // Hot shard = most decided requests; ties go to the lowest index so
     // the pick is deterministic.
@@ -282,13 +218,13 @@ pub fn run_e15_cell(
 
     let report = E15CellReport {
         zipf,
-        sched: E15Config::sched_label(sched).to_string(),
+        sched: sched.label().to_string(),
         threads,
-        offered,
+        offered: run.offered,
         decided: stats.decided,
         shed: stats.shed_total(),
         shed_deadline: stats.shed_deadline,
-        shed_allows,
+        shed_allows: run.shed_allows(),
         deferrals: stats.deferrals,
         hot_shard,
         hot_requests,
@@ -296,14 +232,15 @@ pub fn run_e15_cell(
         hot_p50_wait,
         hot_p99_wait,
         all_p99_wait,
-        p99_queue_ticks: percentile(&mut latencies, 0.99),
-        makespan_units: sched_summary.makespan_units,
-        virtual_steals: sched_summary.virtual_steals,
-        ledger_records: ledger.len() as u64,
-        ledger_digest: ledger.head_digest(),
-        watchdog,
-        wall_ns: telemetry::elapsed_ns(started),
+        p99_queue_ticks: percentile(&mut run.queue_latencies(), 0.99),
+        makespan_units: run.sched.makespan_units,
+        virtual_steals: run.sched.virtual_steals,
+        ledger_records: run.ledger.total_records() as u64,
+        ledger_digest: run.ledger.head_digest(),
+        watchdog: run.watchdog.map(|trip| trip.to_string()),
+        wall_ns: run.wall_ns,
     };
+    let ledger = run.ledger.into_single().expect("E15 cells never rotate");
     (report, ledger)
 }
 
@@ -404,5 +341,24 @@ mod tests {
         );
         assert!(bal.virtual_steals > 0);
         assert_eq!(stat.virtual_steals, 0);
+    }
+
+    #[test]
+    fn a_tick_budget_too_small_to_drain_trips_the_watchdog() {
+        let cfg = E15Config {
+            max_ticks: 7,
+            ..tiny()
+        };
+        let (cell, ledger) = run_e15_cell(&cfg, 1.2, Scheduling::Balanced, 1);
+        assert_eq!(
+            cell.watchdog.as_deref(),
+            Some("watchdog tripped: tick budget of 7 exhausted (livelocked cell?)")
+        );
+        assert!(
+            cell.decided + cell.shed < cell.offered,
+            "the cell was cut short"
+        );
+        assert_eq!(cell.shed_allows, 0);
+        assert!(ledger.verify().is_ok(), "a tripped cell still seals");
     }
 }

@@ -10,7 +10,7 @@
 //! the server, never reach a guard stack, and never produce an unaudited
 //! rejection.
 //!
-//! Each cell: one golden in-process run ([`run_to_completion`]) and one
+//! Each cell: one golden in-process run ([`run_cell`]) and one
 //! TCP run over a loopback listener with `clients` workload drivers in
 //! their own threads (the CI smoke repeats this with real separate
 //! processes via the `serve-net` CLI). With chaos enabled, every
@@ -25,16 +25,15 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use apdm_ledger::RotationPolicy;
-use apdm_serve::{
-    run_to_completion, standard_stacks, PolicyDecisionService, ServeConfig, WorkloadGen,
-    WorkloadOracle, WorkloadSpec,
+use apdm_net::{
+    run_chaos_client, run_workload_client, serve, ChaosKind, ClientReport, DecisionSnap,
+    NetServerConfig, ServeOutcome,
 };
+use apdm_serve::{ServeConfig, WorkloadSpec};
 use apdm_telemetry::{self as telemetry, trace_id, RingCollector, TraceContext, TraceSampler};
 use serde::{Deserialize, Serialize};
 
-use crate::client::{run_chaos_client, run_workload_client, ChaosKind, ChaosReport, ClientReport};
-use crate::server::{serve, NetServerConfig, ServeOutcome};
-use crate::wire::DecisionSnap;
+use crate::cell::{build_service, run_cell};
 
 /// Sweep configuration for experiment E17.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -202,17 +201,6 @@ pub struct E17Report {
 }
 
 impl E17Report {
-    /// A copy with every wall-clock field zeroed: two sweeps over the same
-    /// config compare equal under this projection.
-    pub fn normalized(&self) -> E17Report {
-        let mut report = self.clone();
-        report.wall_ns = 0;
-        for cell in &mut report.cells {
-            cell.wall_ns = 0;
-        }
-        report
-    }
-
     /// Every acceptance gate of the experiment, as one predicate.
     pub fn holds(&self) -> bool {
         self.trace_spans_wire
@@ -238,32 +226,36 @@ struct Golden {
 }
 
 fn golden_run(cfg: &E17Config) -> Golden {
-    let mut svc = PolicyDecisionService::new(
+    let run = run_cell(
+        cfg.spec(),
         cfg.serve_config(),
-        standard_stacks(cfg.shards, true),
-        WorkloadOracle,
         &cfg.run_name(),
-    );
-    let mut gen = WorkloadGen::new(cfg.spec());
-    let (decisions, final_tick) = run_to_completion(
-        &mut svc,
-        &mut gen,
-        1,
-        cfg.arrival_ticks,
         cfg.max_ticks,
         |_, _| {},
     );
-    let offered = gen.total_offered();
-    let (ledger, stats) = svc.finish_segmented(final_tick);
-    let mut snaps: Vec<DecisionSnap> = decisions.iter().map(DecisionSnap::from).collect();
+    if let Some(trip) = run.watchdog {
+        panic!("{}: golden run: {trip}", cfg.run_name());
+    }
+    let mut snaps: Vec<DecisionSnap> = run.decisions.iter().map(DecisionSnap::from).collect();
     snaps.sort_by_key(|d| d.request_id);
     Golden {
         decisions: snaps,
-        segments: ledger.to_jsonl_segments(),
-        offered,
-        decided: stats.decided,
-        shed: stats.shed_total(),
+        segments: run.ledger.to_jsonl_segments(),
+        offered: run.offered,
+        decided: run.stats.decided,
+        shed: run.stats.shed_total(),
     }
+}
+
+/// Spawn the server thread of one TCP run: the golden run's service,
+/// served over `listener` to `clients` workload connections.
+fn spawn_server(
+    cfg: &E17Config,
+    listener: TcpListener,
+    clients: u32,
+) -> thread::JoinHandle<io::Result<ServeOutcome>> {
+    let (serve_cfg, name, net_cfg) = (cfg.serve_config(), cfg.run_name(), cfg.net_config(clients));
+    thread::spawn(move || serve(listener, build_service(serve_cfg, &name), net_cfg))
 }
 
 /// The sealed segmented-ledger bytes of the in-process golden run — what
@@ -279,20 +271,10 @@ fn net_run(
     cfg: &E17Config,
     clients: u32,
     chaos: bool,
-) -> io::Result<(ServeOutcome, Vec<ClientReport>, Vec<ChaosReport>)> {
+) -> io::Result<(ServeOutcome, Vec<ClientReport>)> {
     let listener = TcpListener::bind("127.0.0.1:0")?;
     let addr = listener.local_addr()?.to_string();
-    let server_cfg = cfg.clone();
-    let net_cfg = cfg.net_config(clients);
-    let server = thread::spawn(move || -> io::Result<ServeOutcome> {
-        let svc = PolicyDecisionService::new(
-            server_cfg.serve_config(),
-            standard_stacks(server_cfg.shards, true),
-            WorkloadOracle,
-            &server_cfg.run_name(),
-        );
-        serve(listener, svc, net_cfg)
-    });
+    let server = spawn_server(cfg, listener, clients);
 
     let mut workers = Vec::new();
     for index in 0..clients {
@@ -317,20 +299,21 @@ fn net_run(
                 .map_err(|_| io::Error::other("client panicked"))??,
         );
     }
-    let mut chaos_reports = Vec::new();
+    // Chaos denies also appear in the server's `rejects`; the clients'
+    // own reports only need to come back without error.
     for c in chaos_threads {
-        chaos_reports.push(c.join().map_err(|_| io::Error::other("chaos panicked"))??);
+        c.join().map_err(|_| io::Error::other("chaos panicked"))??;
     }
     let outcome = server
         .join()
         .map_err(|_| io::Error::other("server panicked"))??;
-    Ok((outcome, reports, chaos_reports))
+    Ok((outcome, reports))
 }
 
 /// Run one cell and compare it against the golden run.
-fn run_cell(cfg: &E17Config, golden: &Golden, clients: u32) -> io::Result<E17CellReport> {
+fn net_cell(cfg: &E17Config, golden: &Golden, clients: u32) -> io::Result<E17CellReport> {
     let started = Instant::now();
-    let (outcome, reports, chaos_reports) = net_run(cfg, clients, cfg.chaos)?;
+    let (outcome, reports) = net_run(cfg, clients, cfg.chaos)?;
 
     let mut snaps: Vec<DecisionSnap> = reports
         .iter()
@@ -353,8 +336,6 @@ fn run_cell(cfg: &E17Config, golden: &Golden, clients: u32) -> io::Result<E17Cel
             _ => false,
         })
         .count() as u64;
-    let chaos_denies: u64 = chaos_reports.iter().map(|c| c.denies).sum();
-    let _ = chaos_denies; // denies also appear in `outcome.rejects`
 
     Ok(E17CellReport {
         clients,
@@ -391,17 +372,7 @@ fn traced_probe(cfg: &E17Config) -> io::Result<bool> {
     };
     let listener = TcpListener::bind("127.0.0.1:0")?;
     let addr = listener.local_addr()?.to_string();
-    let server_cfg = probe.clone();
-    let net_cfg = probe.net_config(1);
-    let server = thread::spawn(move || -> io::Result<ServeOutcome> {
-        let svc = PolicyDecisionService::new(
-            server_cfg.serve_config(),
-            standard_stacks(server_cfg.shards, true),
-            WorkloadOracle,
-            &server_cfg.run_name(),
-        );
-        serve(listener, svc, net_cfg)
-    });
+    let server = spawn_server(&probe, listener, 1);
 
     let spec = probe.spec();
     let seed = spec.seed;
@@ -449,7 +420,7 @@ pub fn run_e17(cfg: &E17Config) -> io::Result<E17Report> {
     let golden = golden_run(cfg);
     let mut cells = Vec::new();
     for &clients in &cfg.clients {
-        cells.push(run_cell(cfg, &golden, clients)?);
+        cells.push(net_cell(cfg, &golden, clients)?);
     }
     let trace_spans_wire = traced_probe(cfg)?;
     Ok(E17Report {

@@ -22,10 +22,11 @@
 //! * [`client`] — the deterministic workload driver (each client sends
 //!   the partition `id % clients == index` of one shared seeded workload)
 //!   and scripted chaos clients.
-//! * [`experiment`] — the E17 harness asserting all of the above, plus a
-//!   traced probe showing [`TraceContext`](apdm_telemetry::TraceContext)
-//!   riding the frame headers end to end: client → wire → service → wire
-//!   → client.
+//!
+//! The E17 harness that asserts all of the above — TCP-served ledgers
+//! byte-identical to the in-process golden run, chaos contained and
+//! audited, [`TraceContext`](apdm_telemetry::TraceContext) riding the
+//! frame headers end to end — lives in `apdm-bench`.
 //!
 //! ## Example
 //!
@@ -36,26 +37,32 @@
 //! use std::thread;
 //! use std::time::Duration;
 //!
-//! use apdm_net::{run_workload_client, serve, E17Config};
-//! use apdm_serve::{standard_stacks, PolicyDecisionService, WorkloadOracle};
+//! use apdm_net::{run_workload_client, serve, NetServerConfig};
+//! use apdm_serve::{
+//!     standard_stacks, PolicyDecisionService, ServeConfig, WorkloadOracle, WorkloadSpec,
+//! };
 //!
-//! let cfg = E17Config {
+//! let spec = WorkloadSpec {
 //!     arrival_ticks: 4,
 //!     per_tick: 2,
-//!     ..E17Config::default()
+//!     ..WorkloadSpec::default()
+//! };
+//! let serve_cfg = ServeConfig {
+//!     shards: 4,
+//!     threads: 1,
+//!     ..ServeConfig::default()
+//! };
+//! let net_cfg = NetServerConfig {
+//!     clients: 1,
+//!     arrival_ticks: spec.arrival_ticks,
+//!     ..NetServerConfig::default()
 //! };
 //! let listener = TcpListener::bind("127.0.0.1:0").unwrap();
 //! let addr = listener.local_addr().unwrap().to_string();
 //!
-//! let (serve_cfg, net_cfg) = (cfg.serve_config(), cfg.net_config(1));
-//! let (shards, name, spec) = (cfg.shards, cfg.run_name(), cfg.spec());
 //! let server = thread::spawn(move || {
-//!     let svc = PolicyDecisionService::new(
-//!         serve_cfg,
-//!         standard_stacks(shards, true),
-//!         WorkloadOracle,
-//!         &name,
-//!     );
+//!     let stacks = standard_stacks(serve_cfg.shards, serve_cfg.cache);
+//!     let svc = PolicyDecisionService::new(serve_cfg, stacks, WorkloadOracle, "docs/net");
 //!     serve(listener, svc, net_cfg).unwrap()
 //! });
 //!
@@ -68,7 +75,7 @@
 //! assert_eq!(outcome.drops, 0);
 //! ```
 //!
-//! Participates in experiment **E17** (`bench_e17_net` →
+//! Participates in experiment **E17** (`apdm-bench`'s `bench_e17_net` →
 //! `BENCH_e17_net.json`); the multi-process variant is exercised by the
 //! `serve-net` CLI subcommand and the CI smoke.
 
@@ -76,7 +83,6 @@
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod experiment;
 pub mod frame;
 pub mod server;
 pub mod wire;
@@ -84,7 +90,6 @@ pub mod wire;
 pub use client::{
     connect_with_retry, run_chaos_client, run_workload_client, ChaosKind, ChaosReport, ClientReport,
 };
-pub use experiment::{golden_segments, run_e17, E17CellReport, E17Config, E17Report};
 pub use frame::{
     crc32, decode, encode, read_frame, write_frame, Crc32, Frame, FrameError, FrameType, ReadError,
     ReadOutcome, HEADER_LEN, MAGIC, MAX_PAYLOAD, TRAILER_LEN, VERSION,

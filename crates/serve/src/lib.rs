@@ -18,21 +18,21 @@
 //!   micro-batch → shard by device across [`apdm_par`]'s pool → per-shard
 //!   [`apdm_guards::GuardStack`] evaluation (reusing the verdict memo
 //!   cache) → hash-chained [`apdm_ledger`] audit of **every** verdict.
-//! - [`WorkloadGen`] / [`run_e13`] — seeded open-loop workload generation
-//!   and experiment E13, the load sweep crossing batching × cache ×
-//!   shedding.
-//! - [`Scheduling`] / [`run_e15`] — skew-aware shard scheduling
-//!   (deterministic work stealing via [`apdm_par::run_sharded_balanced`]),
-//!   cross-shard admission backpressure, and experiment E15, the Zipf
-//!   device-skew sweep crossing {static, balanced} × threads.
-//! - [`run_calibration`] — fits the virtual [`CostModel`] to measured
-//!   per-batch nanoseconds so shed curves track real hardware.
-//! - [`ServeCheckpoint`] / [`run_e16`] — crash tolerance: the service
-//!   checkpoints its full decision state into the ledger at segment
-//!   rotation points ([`ServeConfig::rotation`]), a killed process
-//!   restores from the latest valid frame and resumes bit-identically,
-//!   and experiment E16 kill-and-resume-sweeps every crash point to
-//!   prove it.
+//! - [`WorkloadGen`] / [`run_to_completion`] — seeded open-loop workload
+//!   generation and the one loop that drives it through a service until
+//!   the queue drains, with a tick-budget watchdog.
+//! - [`Scheduling`] — skew-aware shard scheduling overlays (deterministic
+//!   work stealing via [`apdm_par::run_sharded_balanced`]) and cross-shard
+//!   admission backpressure ([`ServeConfig::backpressure`]).
+//! - [`ServeCheckpoint`] / [`recover_segments`] — crash tolerance: the
+//!   service checkpoints its full decision state into the ledger at
+//!   segment rotation points ([`ServeConfig::rotation`]), and a killed
+//!   process restores from the latest valid frame and resumes
+//!   bit-identically.
+//!
+//! The experiment harnesses that sweep these properties (E13–E17 and the
+//! cost-model calibration) live in `apdm-bench`; this crate holds only the
+//! serving code they drive.
 //!
 //! The design rule throughout is the paper's safety bias applied to
 //! serving: **overload may only make the service more conservative.** A
@@ -68,11 +68,11 @@
 //!     ..WorkloadSpec::default()
 //! });
 //!
-//! let (decisions, final_tick) =
-//!     run_to_completion(&mut svc, &mut gen, 1, 3, 100, |_, _| {});
-//! let (ledger, stats) = svc.finish_segmented(final_tick);
+//! let done = run_to_completion(&mut svc, &mut gen, 1, 100, |_, _| {});
+//! assert!(done.watchdog.is_none(), "drained within the tick budget");
+//! let (ledger, stats) = svc.finish_segmented(done.final_tick);
 //!
-//! assert_eq!(decisions.len() as u64, gen.total_offered());
+//! assert_eq!(done.decisions.len() as u64, gen.total_offered());
 //! assert_eq!(stats.decided + stats.shed_total(), gen.total_offered());
 //! assert!(ledger.verify().is_ok(), "hash-chained audit trail seals");
 //! ```
@@ -87,29 +87,21 @@
 
 mod admission;
 mod batcher;
-mod calibrate;
 mod checkpoint;
 mod crash;
-mod experiment;
 mod request;
 mod service;
-mod skew;
-mod traced;
 mod workload;
 
 pub use admission::{AdmissionConfig, AdmissionQueue};
 pub use batcher::{BatchPolicy, CostModel, Meter};
-pub use calibrate::{run_calibration, CalibrationReport};
 pub use checkpoint::{CacheEntry, CacheSnap, CtxSnap, LaneSnap, ReqSnap, ServeCheckpoint};
-pub use crash::{
-    recover_segments, resume_run, run_e16, run_e16_cell, run_to_completion, segment_header,
-    E16CellReport, E16Config, E16Report, Recovery, SimDisk,
-};
-pub use experiment::{run_e13, run_e13_cell, E13CellReport, E13Config, E13Report, Knobs};
+pub use crash::{recover_segments, segment_header, Recovery, SimDisk};
 pub use request::{Decision, DecisionRequest, ShedReason, TenantId};
 pub use service::{
     standard_slos, PolicyDecisionService, SchedSummary, Scheduling, ServeConfig, ServeStats,
 };
-pub use skew::{run_e15, run_e15_cell, E15CellReport, E15Config, E15Report};
-pub use traced::{run_e14, run_e14_mode, E14Config, E14ModeReport, E14Report, ServeMsg, TraceMode};
-pub use workload::{schema, standard_stacks, WorkloadGen, WorkloadOracle, WorkloadSpec};
+pub use workload::{
+    run_to_completion, schema, standard_stacks, Completion, WorkloadGen, WorkloadOracle,
+    WorkloadSpec,
+};

@@ -123,6 +123,17 @@ pub enum Scheduling {
     Balanced,
 }
 
+impl Scheduling {
+    /// Stable lowercase label (`static`/`balanced`), used in reports and
+    /// as the CLI `--sched` value.
+    pub fn label(self) -> &'static str {
+        match self {
+            Scheduling::Static => "static",
+            Scheduling::Balanced => "balanced",
+        }
+    }
+}
+
 /// Full configuration of one service instance.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ServeConfig {

@@ -13,14 +13,21 @@
 //! meaningful — real fleets are exactly this redundant (thousands of
 //! devices in a handful of operational modes), which is why the PR-3 memo
 //! cache pays off at serving time.
+//!
+//! [`run_to_completion`] is the one loop that drives a generator through a
+//! service: submit each tick's arrivals, run the tick, and stop once the
+//! arrival window has passed and the queue has drained.
 
 use apdm_guards::{GuardStack, HarmOracle, PreActionCheck, StateSpaceGuard};
+use apdm_ledger::SegmentedRecorder;
+use apdm_par::WatchdogTrip;
 use apdm_policy::Action;
 use apdm_statespace::{Region, RegionClassifier, State, StateDelta, StateSchema, VarId};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::request::{DecisionRequest, TenantId};
+use crate::request::{Decision, DecisionRequest, TenantId};
+use crate::service::PolicyDecisionService;
 
 /// The good region of the workload's one-variable state space: `x ∈ [0, 5]`
 /// out of a `[0, 10]` schema (the same shape the guard-stack unit tests
@@ -236,6 +243,66 @@ impl WorkloadGen {
     }
 }
 
+/// How a [`run_to_completion`] drive ended.
+#[derive(Debug)]
+pub struct Completion {
+    /// Every decision rendered from the start tick on, submit-time sheds
+    /// interleaved in submit order.
+    pub decisions: Vec<Decision>,
+    /// The tick to seal the ledger at: the last tick driven, or — when
+    /// the watchdog tripped — the tick it tripped on, which never ran.
+    pub final_tick: u64,
+    /// Set when the tick budget ran out before the run completed.
+    pub watchdog: Option<WatchdogTrip>,
+}
+
+/// Drive a service from tick `start` until the generator's arrival window
+/// has passed and the queue drains; `after_tick` observes the recorder
+/// after every tick (a crash-tolerant embedder persists its segments
+/// there). The caller seals the run with
+/// `finish_segmented(completion.final_tick)`. The termination rule depends
+/// only on service state, so a resumed run stops at exactly the tick the
+/// uninterrupted run would.
+///
+/// A tick past `max_ticks` is never driven: the run stops there and
+/// [`Completion::watchdog`] carries the trip an [`apdm_par::Watchdog`] of
+/// that budget reports.
+pub fn run_to_completion(
+    svc: &mut PolicyDecisionService<WorkloadOracle>,
+    gen: &mut WorkloadGen,
+    start: u64,
+    max_ticks: u64,
+    mut after_tick: impl FnMut(u64, &SegmentedRecorder),
+) -> Completion {
+    let arrival_ticks = gen.spec().arrival_ticks;
+    let mut decisions = Vec::new();
+    let mut watchdog = None;
+    let mut now = start.saturating_sub(1);
+    // The completion check runs *before* each tick, not after: a
+    // checkpoint taken by a rotation on the run's final tick restores to
+    // an already-complete state, and replaying an extra empty tick would
+    // seal the resumed ledger one tick late.
+    while now < arrival_ticks || svc.queue_depth() > 0 {
+        now += 1;
+        if now > max_ticks {
+            watchdog = Some(WatchdogTrip { budget: max_ticks });
+            break;
+        }
+        for req in gen.tick_requests(now) {
+            if let Some(d) = svc.submit(req, now) {
+                decisions.push(d);
+            }
+        }
+        decisions.extend(svc.tick(now));
+        after_tick(now, svc.recorder());
+    }
+    Completion {
+        decisions,
+        final_tick: now,
+        watchdog,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -331,5 +398,51 @@ mod tests {
                 assert!(req.device < 64);
             }
         }
+    }
+
+    #[test]
+    fn run_to_completion_drains_and_trips_its_watchdog() {
+        use crate::service::ServeConfig;
+        let spec = WorkloadSpec {
+            per_tick: 4,
+            arrival_ticks: 6,
+            ..WorkloadSpec::default()
+        };
+        let service = || {
+            let cfg = ServeConfig {
+                shards: 2,
+                threads: 1,
+                ..ServeConfig::default()
+            };
+            PolicyDecisionService::new(cfg, standard_stacks(2, true), WorkloadOracle, "drive")
+        };
+
+        let mut svc = service();
+        let mut gen = WorkloadGen::new(spec);
+        let mut observed = Vec::new();
+        let done = run_to_completion(&mut svc, &mut gen, 1, 100, |now, _| observed.push(now));
+        assert_eq!(done.watchdog, None);
+        assert!(done.final_tick >= 6);
+        assert_eq!(observed, (1..=done.final_tick).collect::<Vec<u64>>());
+        assert_eq!(done.decisions.len() as u64, gen.total_offered());
+
+        // A budget shorter than the arrival window trips on the first tick
+        // past it; that tick never runs.
+        let mut svc = service();
+        let mut gen = WorkloadGen::new(spec);
+        let mut observed = Vec::new();
+        let tripped = run_to_completion(&mut svc, &mut gen, 1, 4, |now, _| observed.push(now));
+        let trip = tripped
+            .watchdog
+            .expect("a 4-tick budget cannot cover 6 arrival ticks");
+        assert_eq!(trip.budget, 4);
+        assert_eq!(tripped.final_tick, 5);
+        assert_eq!(observed, vec![1, 2, 3, 4]);
+        assert_eq!(
+            trip.to_string(),
+            "watchdog tripped: tick budget of 4 exhausted (livelocked cell?)"
+        );
+        let (ledger, _) = svc.finish_segmented(tripped.final_tick);
+        assert!(ledger.verify().is_ok(), "a tripped run still seals");
     }
 }

@@ -7,6 +7,19 @@ cd "$(git rev-parse --show-toplevel)"
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+# The serving and transport crates hold production code only; the
+# experiment harnesses (and the comms/simnet stack E14 needs) live in
+# apdm-bench. Fail if a harness dependency creeps back into either crate.
+echo "==> dependency guard (apdm-serve, apdm-net stay harness-free)"
+for pkg in apdm-serve apdm-net; do
+    deps="$(cargo tree -p "$pkg" -e normal --offline --prefix none)"
+    for banned in apdm-comms apdm-governance apdm-simnet; do
+        if grep -q "^$banned " <<<"$deps"; then
+            echo "dependency guard: $pkg depends on $banned"; exit 1
+        fi
+    done
+done
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

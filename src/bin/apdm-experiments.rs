@@ -90,16 +90,15 @@ use std::fs;
 use std::process::ExitCode;
 use std::rc::Rc;
 
+use apdm::bench::{
+    build_service, golden_segments, resume_run, run_calibration, run_cell, run_e13, run_e14,
+    run_e14_mode, run_e15, run_e15_cell, run_e16, run_e16_cell, run_e17, write_report, E13Config,
+    E14Config, E15Config, E16Config, E17Config, TraceMode,
+};
 use apdm::comms::FailMode;
 use apdm::ledger::{Ledger, SegmentedLedger};
-use apdm::net::{
-    golden_segments, run_chaos_client, run_e17, run_workload_client, serve, ChaosKind, E17Config,
-};
-use apdm::serve::{
-    resume_run, run_calibration, run_e13, run_e14, run_e14_mode, run_e15, run_e15_cell, run_e16,
-    run_e16_cell, run_to_completion, standard_stacks, E13Config, E14Config, E15Config, E16Config,
-    PolicyDecisionService, Scheduling, SimDisk, TraceMode, WorkloadGen, WorkloadOracle,
-};
+use apdm::net::{run_chaos_client, run_workload_client, serve, ChaosKind};
+use apdm::serve::{Scheduling, SimDisk};
 use apdm::sim::contagion::{run_contagion, ContagionArm};
 use apdm::sim::degraded::{run_e12, run_e12_cell, E12Config};
 use apdm::sim::faults::Pathway;
@@ -588,12 +587,11 @@ fn dispatch(
             if json {
                 emit(true, &report);
             } else {
-                print_e13_table(&report);
+                report.print_table();
             }
             if let Some(path) = out {
-                let body = serde_json::to_string_pretty(&report).expect("serializable report");
-                if let Err(e) = fs::write(&path, body) {
-                    eprintln!("cannot write {path}: {e}");
+                if let Err(e) = write_report(&path, &report) {
+                    eprintln!("{e}");
                     return ExitCode::FAILURE;
                 }
                 if !json {
@@ -720,12 +718,7 @@ fn serve_net_cmd(
                 "serving on {addr} ({} workload clients expected)",
                 net.clients
             );
-            let svc = PolicyDecisionService::new(
-                cfg.serve_config(),
-                standard_stacks(cfg.shards, true),
-                WorkloadOracle,
-                &cfg.run_name(),
-            );
+            let svc = build_service(cfg.serve_config(), &cfg.run_name());
             let outcome = match serve(listener, svc, cfg.net_config(net.clients)) {
                 Ok(outcome) => outcome,
                 Err(e) => {
@@ -969,20 +962,12 @@ fn checkpoint_cmd(
     base: &str,
 ) -> ExitCode {
     let budget = cfg.budgets[0];
-    let mut svc = PolicyDecisionService::new(
-        cfg.serve_config(budget, sched, 1),
-        standard_stacks(cfg.shards, true),
-        WorkloadOracle,
-        &cfg.run_name(budget),
-    );
-    let mut gen = WorkloadGen::new(cfg.spec(budget));
     let mut disk = SimDisk::default();
     let mut killed: Option<SimDisk> = None;
-    let (decisions, final_tick) = run_to_completion(
-        &mut svc,
-        &mut gen,
-        1,
-        cfg.arrival_ticks,
+    let run = run_cell(
+        cfg.spec(budget),
+        cfg.serve_config(budget, sched, 1),
+        &cfg.run_name(budget),
         cfg.max_ticks,
         |now, rec| {
             disk.persist(rec);
@@ -991,6 +976,11 @@ fn checkpoint_cmd(
             }
         },
     );
+    if let Some(trip) = run.watchdog {
+        eprintln!("{}: {trip}", cfg.run_name(budget));
+        return ExitCode::FAILURE;
+    }
+    let final_tick = run.final_tick;
     match kill_tick {
         Some(tick) => {
             let Some(killed) = killed else {
@@ -1013,11 +1003,7 @@ fn checkpoint_cmd(
             );
         }
         None => {
-            let (ledger, _) = svc.finish_segmented(final_tick);
-            if let Err(e) = ledger.verify() {
-                eprintln!("golden ledger corrupt: {e}");
-                return ExitCode::FAILURE;
-            }
+            let ledger = &run.ledger;
             if let Err(e) = write_segments(base, &ledger.to_jsonl_segments()) {
                 eprintln!("{e}");
                 return ExitCode::FAILURE;
@@ -1025,7 +1011,7 @@ fn checkpoint_cmd(
             println!(
                 "golden run sealed at tick {final_tick}: {} decisions, {} segments \
                  ({} pruned), head {:016x} -> {base}.seg*.jsonl",
-                decisions.len(),
+                run.decisions.len(),
                 ledger.segments().len(),
                 ledger.pruned_count(),
                 ledger.head_digest(),
@@ -1134,34 +1120,6 @@ fn trace_analyze(path: &str, chrome: Option<&str>) -> ExitCode {
             eprintln!("trace {trace:016x}: span {span:016x} orphaned (parent {parent:016x})");
         }
         ExitCode::FAILURE
-    }
-}
-
-/// Human-readable E13 sweep table: one row per (load × knobs) cell.
-fn print_e13_table(report: &apdm::serve::E13Report) {
-    println!(
-        "{:<6} {:<22} {:>8} {:>8} {:>7} {:>9} {:>6} {:>6} {:>7} {:>8}",
-        "load", "knobs", "decided", "shed", "shed%", "thruput", "p50", "p99", "p99.9", "hit%"
-    );
-    for c in &report.cells {
-        let hit_rate = if c.cache_hits + c.cache_misses == 0 {
-            0.0
-        } else {
-            c.cache_hits as f64 / (c.cache_hits + c.cache_misses) as f64
-        };
-        println!(
-            "{:<6} {:<22} {:>8} {:>8} {:>7.3} {:>9.2} {:>6} {:>6} {:>7} {:>8.3}",
-            c.load,
-            c.label,
-            c.decided,
-            c.shed,
-            c.shed_rate,
-            c.throughput,
-            c.p50_queue_ticks,
-            c.p99_queue_ticks,
-            c.p999_queue_ticks,
-            hit_rate,
-        );
     }
 }
 

@@ -23,9 +23,10 @@
 //! | [`telemetry`] | `apdm-telemetry` | — deterministic spans/events, metrics, trace exporters |
 //! | [`par`] | `apdm-par` | — deterministic scoped-thread shard pools and fan-out |
 //! | [`serve`] | `apdm-serve` | VI at fleet scale — sharded micro-batching decision service, fail-closed shedding |
-//! | [`net`] | `apdm-net` | VI at the I/O boundary — framed TCP transport, fail-closed codec, E17 harness |
+//! | [`net`] | `apdm-net` | VI at the I/O boundary — framed TCP transport, fail-closed codec |
 //! | [`sim`] | `apdm-sim` | I–II — the coalition world and experiments |
 //! | [`core`] | `apdm-core` | everything — `SafetyKernel`, `AutonomicManager` |
+//! | [`bench`](mod@bench) | `apdm-bench` | — serving experiment harnesses (E13–E17, calibration), one cell runner |
 //!
 //! # Quickstart
 //!
@@ -54,6 +55,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub use apdm_bench as bench;
 pub use apdm_comms as comms;
 pub use apdm_core as core;
 pub use apdm_device as device;
