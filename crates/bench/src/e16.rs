@@ -29,7 +29,7 @@
 
 use std::time::Instant;
 
-use apdm_ledger::{RotationPolicy, SegmentedLedger, SegmentedRecorder};
+use apdm_ledger::{Replayer, RotationPolicy, SegmentedLedger, SegmentedRecorder};
 use apdm_par::{par_map, resolve_threads};
 use apdm_serve::{
     recover_segments, run_to_completion, standard_stacks, Decision, PolicyDecisionService,
@@ -303,26 +303,30 @@ pub fn resume_run(
     (ledger, done.decisions, start, discarded)
 }
 
-/// Locate the first differing record between golden and resumed segment
-/// files, for the report's `first_divergence` field.
-fn locate_divergence(golden: &[(u64, String)], resumed: &[(u64, String)]) -> String {
-    if golden.len() != resumed.len() {
+/// Locate the first differing record between the golden and resumed
+/// ledgers, for the report's `first_divergence` field. Segments are aligned
+/// pairwise; within a segment a record's seq is its position, so the
+/// replayer's record numbers name lines of that segment's file.
+fn locate_divergence(golden: &SegmentedLedger, resumed: &SegmentedLedger) -> String {
+    let (golden_segs, resumed_segs) = (golden.segments(), resumed.segments());
+    if golden_segs.len() != resumed_segs.len() {
         return format!(
             "segment count differs: golden {} vs resumed {}",
-            golden.len(),
-            resumed.len()
+            golden_segs.len(),
+            resumed_segs.len()
         );
     }
-    for ((gi, gt), (ri, rt)) in golden.iter().zip(resumed) {
-        if gi != ri {
-            return format!("segment index differs: golden {gi} vs resumed {ri}");
-        }
-        if gt != rt {
-            let replayer = apdm_ledger::StreamReplayer::from_origin();
-            return match replayer.compare_lines(gt.lines(), rt.lines()) {
-                Ok(report) if report.divergence.is_some() => format!("segment {gi}: {report}"),
-                Ok(_) => format!("segment {gi}: byte-level difference only"),
-                Err(e) => format!("segment {gi}: unparseable during diff: {e}"),
+    let (gi, ri) = (golden.first_index(), resumed.first_index());
+    if gi != ri {
+        return format!("segment index differs: golden {gi} vs resumed {ri}");
+    }
+    for (index, (g, r)) in (gi..).zip(golden_segs.iter().zip(resumed_segs)) {
+        if g != r {
+            let report = Replayer::from_origin(g).compare(r);
+            return if report.is_faithful() {
+                format!("segment {index}: byte-level difference only")
+            } else {
+                format!("segment {index}: {report}")
             };
         }
     }
@@ -349,7 +353,7 @@ fn check_crash_point(
     let resumed_segments = ledger.to_jsonl_segments();
     let mut diverged = None;
     if resumed_segments != golden.segments {
-        diverged = Some(locate_divergence(&golden.segments, &resumed_segments));
+        diverged = Some(locate_divergence(&golden.run.ledger, &ledger));
     } else {
         let golden_suffix: Vec<&Decision> = golden
             .run
@@ -563,5 +567,60 @@ mod tests {
         let outcome = check_crash_point(&cfg, 12, Scheduling::Balanced, 3, &torn, &golden);
         assert!(outcome.diverged.is_none(), "{:?}", outcome.diverged);
         assert!(!outcome.verify_failed);
+    }
+
+    /// A run of `events` proposals rotated every 4 records; the proposal
+    /// numbered `strike` (if any) records "strike" instead of "dig".
+    fn rotated(events: u64, strike: Option<u64>) -> SegmentedLedger {
+        let mut rec = SegmentedRecorder::new("e16-diff", 7, 1, RotationPolicy::by_records(4));
+        for i in 0..events {
+            let action = if Some(i) == strike { "strike" } else { "dig" };
+            rec.record(
+                i + 1,
+                RunEvent::Proposal {
+                    device: 0,
+                    action: action.into(),
+                },
+            );
+            if rec.should_rotate() {
+                rec.rotate(i + 1);
+            }
+        }
+        rec.finish(events, 0)
+    }
+
+    #[test]
+    fn locate_divergence_names_the_segment_and_record() {
+        let golden = rotated(10, None);
+        // Segment 0 holds the header plus proposals 0..4; segment 1 opens
+        // with its anchor frame, so proposal 5 is its record 2.
+        let resumed = rotated(10, Some(5));
+        assert_eq!(
+            locate_divergence(&golden, &resumed),
+            "segment 1: diverged at record 2: recorded proposal d0:dig, \
+             replayed proposal d0:strike (2 matched before)"
+        );
+    }
+
+    #[test]
+    fn locate_divergence_reports_a_segment_count_mismatch() {
+        let golden = rotated(10, None);
+        let resumed = rotated(3, None);
+        assert_eq!(
+            locate_divergence(&golden, &resumed),
+            format!(
+                "segment count differs: golden {} vs resumed 1",
+                golden.segments().len()
+            )
+        );
+    }
+
+    #[test]
+    fn locate_divergence_on_equal_streams_blames_decisions() {
+        let golden = rotated(10, None);
+        assert_eq!(
+            locate_divergence(&golden, &golden.clone()),
+            "streams equal (divergence was in decisions)"
+        );
     }
 }

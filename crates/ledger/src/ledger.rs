@@ -118,6 +118,20 @@ fn canonical_payload(seq: u64, tick: u64, event: &RunEvent) -> String {
     serde_json::to_string(&value).expect("canonical payload serialization cannot fail")
 }
 
+/// One record's JSONL line, without its trailing newline: the single place
+/// the on-disk record encoding is produced.
+fn jsonl_line(record: &LedgerRecord) -> String {
+    serde_json::to_string(record).expect("record serialization cannot fail")
+}
+
+impl LedgerRecord {
+    /// Bytes this record occupies in [`Ledger::to_jsonl`] output, newline
+    /// included.
+    pub(crate) fn jsonl_len(&self) -> usize {
+        jsonl_line(self).len() + 1
+    }
+}
+
 /// An append-only, hash-chained event log.
 ///
 /// Records can be appended and read but never modified or removed through
@@ -230,6 +244,12 @@ impl Ledger {
     /// [`RunEvent::RunFinished`] is what gives the amputation away.
     pub fn verify(&self) -> Result<(), Corruption> {
         self.verify_chain()?;
+        self.check_sealed()
+    }
+
+    /// The sealed-run half of [`verify`](Ledger::verify), shared with the
+    /// final-segment check of [`crate::SegmentedLedger::verify`].
+    pub(crate) fn check_sealed(&self) -> Result<(), Corruption> {
         if self.is_sealed() {
             Ok(())
         } else {
@@ -275,7 +295,7 @@ impl Ledger {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for record in &self.records {
-            out.push_str(&serde_json::to_string(record).expect("record serialization cannot fail"));
+            out.push_str(&jsonl_line(record));
             out.push('\n');
         }
         out

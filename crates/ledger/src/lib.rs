@@ -16,14 +16,18 @@
 //! - [`SnapshotFrame`] — periodic checkpoint frames carrying world, fleet
 //!   and RNG state so a run can resume mid-stream instead of from tick 0.
 //! - [`Replayer`] — compares a re-executed event stream against the
-//!   recorded reference and reports the first divergence.
+//!   recorded reference and reports the first divergence; a rotated run is
+//!   compared segment by segment.
 //! - JSONL import/export ([`Ledger::to_jsonl`] / [`Ledger::from_jsonl`])
-//!   so ledgers survive on disk and can be shipped for forensics.
-//! - [`SegmentedRecorder`] / [`SegmentedLedger`] — segment rotation for
-//!   long-lived serving processes: the ledger rolls at a configurable
-//!   record/byte budget, each sealed segment's head digest is anchored in
-//!   its successor's first frame, and retention prunes old segments while
-//!   the retained chain stays verifiable (see [`segment`]).
+//!   so ledgers survive on disk and can be shipped for forensics. The
+//!   record encoding lives in [`ledger`] alone.
+//! - [`SegmentedRecorder`] / [`SegmentedLedger`] — the one recorder every
+//!   run appends through. Under the default [`RotationPolicy`] it never
+//!   rotates and [`SegmentedLedger::into_single`] hands back one sealed
+//!   [`Ledger`]; long-lived serving processes set a record/byte budget, so
+//!   the ledger rolls into segments, each sealed segment's head digest is
+//!   anchored in its successor's first frame, and retention prunes old
+//!   segments while the retained chain stays verifiable (see [`segment`]).
 //!
 //! # Threat model
 //!
@@ -38,9 +42,9 @@
 //! # Example
 //!
 //! ```
-//! use apdm_ledger::{Ledger, RunEvent, RunRecorder};
+//! use apdm_ledger::{Ledger, RotationPolicy, RunEvent, SegmentedRecorder};
 //!
-//! let mut rec = RunRecorder::new("demo", 42, 1);
+//! let mut rec = SegmentedRecorder::new("demo", 42, 1, RotationPolicy::default());
 //! rec.record(1, RunEvent::Proposal { device: 0, action: "strike".into() });
 //! rec.record(1, RunEvent::Verdict {
 //!     device: 0,
@@ -48,7 +52,7 @@
 //!     verdict: "deny".into(),
 //!     reason: "direct harm predicted".into(),
 //! });
-//! let ledger = rec.finish(1, 0);
+//! let ledger = rec.finish(1, 0).into_single().expect("default policy never rotates");
 //! assert!(ledger.verify().is_ok());
 //!
 //! // Round-trip through JSONL and verify again.
@@ -64,15 +68,13 @@ pub mod event;
 pub mod hash;
 pub mod ledger;
 pub mod name;
-pub mod recorder;
 pub mod replay;
 pub mod segment;
 
 pub use event::{DeviceSnap, RunEvent, SnapshotFrame};
 pub use ledger::{Corruption, Ledger, LedgerError, LedgerRecord, TornTail};
 pub use name::{Name, NamePool};
-pub use recorder::RunRecorder;
-pub use replay::{Divergence, ReplayReport, Replayer, StreamReplayer};
+pub use replay::{Divergence, ReplayReport, Replayer};
 pub use segment::{
     RotationPolicy, SegmentCorruption, SegmentReport, SegmentedLedger, SegmentedRecorder,
 };

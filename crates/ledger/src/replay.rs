@@ -10,7 +10,7 @@
 use std::fmt;
 
 use crate::event::RunEvent;
-use crate::ledger::{Ledger, LedgerError, LedgerRecord};
+use crate::ledger::Ledger;
 
 /// The first point at which a replay departed from the recorded run.
 #[derive(Debug, Clone, PartialEq)]
@@ -197,128 +197,6 @@ impl<'a> Replayer<'a> {
     }
 }
 
-/// Streaming variant of [`Replayer`]: both event streams arrive as JSONL
-/// lines (for a rotated run, the segment files' lines chained oldest
-/// first) and are aligned one record at a time, so comparison memory is
-/// bounded by a single record no matter how long the run — where
-/// [`Replayer`] requires both ledgers materialized in memory.
-///
-/// Record seqs restart at 0 in every rotated segment, so alignment is by
-/// stream position and [`Divergence`] seqs report stream positions.
-#[derive(Debug, Clone, Copy)]
-pub struct StreamReplayer {
-    /// First reference stream position to compare.
-    start: u64,
-}
-
-impl StreamReplayer {
-    /// Compare a replay that re-executed the run from tick 0.
-    pub fn from_origin() -> Self {
-        StreamReplayer { start: 0 }
-    }
-
-    /// Compare a replay that resumed from the snapshot at reference stream
-    /// position `snapshot_seq`; the replay's own header line is skipped.
-    pub fn from_snapshot(snapshot_seq: u64) -> Self {
-        StreamReplayer {
-            start: snapshot_seq + 1,
-        }
-    }
-
-    /// Align the two streams and report the first divergence. Errs only
-    /// when a line fails to parse (1-based line number of that stream).
-    pub fn compare_lines<'a, 'b>(
-        &self,
-        reference: impl IntoIterator<Item = &'a str>,
-        replayed: impl IntoIterator<Item = &'b str>,
-    ) -> Result<ReplayReport, LedgerError> {
-        self.align_lines(reference, replayed, false)
-    }
-
-    /// Like [`compare_lines`](StreamReplayer::compare_lines), but surplus
-    /// replay events past a torn reference's cut are not a divergence.
-    pub fn compare_lines_prefix<'a, 'b>(
-        &self,
-        reference: impl IntoIterator<Item = &'a str>,
-        replayed: impl IntoIterator<Item = &'b str>,
-    ) -> Result<ReplayReport, LedgerError> {
-        self.align_lines(reference, replayed, true)
-    }
-
-    fn align_lines<'a, 'b>(
-        &self,
-        reference: impl IntoIterator<Item = &'a str>,
-        replayed: impl IntoIterator<Item = &'b str>,
-        allow_extra: bool,
-    ) -> Result<ReplayReport, LedgerError> {
-        fn parse(line: &str, number: usize) -> Result<LedgerRecord, LedgerError> {
-            serde_json::from_str(line).map_err(|e| LedgerError::Parse {
-                line: number,
-                message: e.to_string(),
-            })
-        }
-        let mut refs = reference
-            .into_iter()
-            .enumerate()
-            .filter(|(_, l)| !l.trim().is_empty())
-            .map(|(idx, l)| (idx + 1, l));
-        let mut reps = replayed
-            .into_iter()
-            .enumerate()
-            .filter(|(_, l)| !l.trim().is_empty())
-            .map(|(idx, l)| (idx + 1, l));
-        for _ in 0..self.start {
-            if refs.next().is_none() {
-                break;
-            }
-        }
-        if self.start > 0 {
-            reps.next();
-        }
-        let mut matched = 0u64;
-        let mut position = self.start;
-        let divergence = loop {
-            match (refs.next(), reps.next()) {
-                (None, None) => break None,
-                (None, Some(_)) => {
-                    break if allow_extra {
-                        None
-                    } else {
-                        Some(Divergence::ExtraEvents {
-                            seq: position,
-                            surplus: 1 + reps.count() as u64,
-                        })
-                    };
-                }
-                (Some(_), None) => {
-                    break Some(Divergence::MissingEvents {
-                        seq: position,
-                        missing: 1 + refs.count() as u64,
-                    });
-                }
-                (Some((ref_line, ref_text)), Some((rep_line, rep_text))) => {
-                    let reference = parse(ref_text, ref_line)?;
-                    let replay = parse(rep_text, rep_line)?;
-                    if reference.tick != replay.tick || reference.event != replay.event {
-                        break Some(Divergence::Mismatch {
-                            seq: position,
-                            expected: describe(&reference.event),
-                            observed: describe(&replay.event),
-                        });
-                    }
-                    matched += 1;
-                    position += 1;
-                }
-            }
-        };
-        Ok(ReplayReport {
-            start_seq: self.start,
-            matched,
-            divergence,
-        })
-    }
-}
-
 fn describe(event: &RunEvent) -> String {
     match event {
         RunEvent::Proposal { device, action } | RunEvent::Execution { device, action } => {
@@ -336,10 +214,18 @@ fn describe(event: &RunEvent) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::RunRecorder;
+    use crate::segment::{RotationPolicy, SegmentedRecorder};
+
+    fn recorder() -> SegmentedRecorder {
+        SegmentedRecorder::new("demo", 1, 1, RotationPolicy::default())
+    }
+
+    fn seal(rec: SegmentedRecorder, ticks: u64) -> Ledger {
+        rec.finish(ticks, 0).into_single().expect("unrotated run")
+    }
 
     fn reference() -> Ledger {
-        let mut rec = RunRecorder::new("demo", 1, 1);
+        let mut rec = recorder();
         rec.record(
             1,
             RunEvent::Proposal {
@@ -361,7 +247,7 @@ mod tests {
                 action: "dig".into(),
             },
         );
-        rec.finish(2, 0)
+        seal(rec, 2)
     }
 
     #[test]
@@ -376,7 +262,7 @@ mod tests {
     #[test]
     fn differing_event_is_localized() {
         let reference = reference();
-        let mut rec = RunRecorder::new("demo", 1, 1);
+        let mut rec = recorder();
         rec.record(
             1,
             RunEvent::Proposal {
@@ -398,7 +284,7 @@ mod tests {
                 action: "dig".into(),
             },
         );
-        let replay = rec.finish(2, 0);
+        let replay = seal(rec, 2);
         let report = Replayer::from_origin(&reference).compare(&replay);
         match report.divergence {
             Some(Divergence::Mismatch { seq, .. }) => assert_eq!(seq, 2),
@@ -410,7 +296,7 @@ mod tests {
     #[test]
     fn short_replay_reports_missing_events() {
         let reference = reference();
-        let mut rec = RunRecorder::new("demo", 1, 1);
+        let mut rec = recorder();
         rec.record(
             1,
             RunEvent::Proposal {
@@ -418,7 +304,7 @@ mod tests {
                 action: "dig".into(),
             },
         );
-        let replay = rec.finish(1, 0);
+        let replay = seal(rec, 1);
         let report = Replayer::from_origin(&reference).compare(&replay);
         assert!(matches!(
             report.divergence,
@@ -448,7 +334,7 @@ mod tests {
         assert!(report.is_faithful(), "{report}");
         assert_eq!(report.matched, 3);
         // A replay that differs *inside* the surviving prefix still fails.
-        let mut rec = RunRecorder::new("demo", 1, 1);
+        let mut rec = recorder();
         rec.record(
             1,
             RunEvent::Proposal {
@@ -456,106 +342,9 @@ mod tests {
                 action: "strike".into(),
             },
         );
-        let divergent = rec.finish(1, 0);
+        let divergent = seal(rec, 1);
         let report = Replayer::from_origin(&torn).compare_prefix(&divergent);
         assert!(!report.is_faithful());
-    }
-
-    #[test]
-    fn streamed_compare_matches_in_memory_compare() {
-        let reference = reference();
-        let faithful = reference.clone();
-        let jsonl = reference.to_jsonl();
-        let report = StreamReplayer::from_origin()
-            .compare_lines(jsonl.lines(), faithful.to_jsonl().lines())
-            .unwrap();
-        assert!(report.is_faithful(), "{report}");
-        assert_eq!(report.matched, reference.len() as u64);
-
-        // Divergence localization agrees with the in-memory replayer.
-        let mut rec = RunRecorder::new("demo", 1, 1);
-        rec.record(
-            1,
-            RunEvent::Proposal {
-                device: 0,
-                action: "dig".into(),
-            },
-        );
-        rec.record(
-            1,
-            RunEvent::Execution {
-                device: 0,
-                action: "strike".into(),
-            },
-        );
-        rec.record(
-            2,
-            RunEvent::Proposal {
-                device: 0,
-                action: "dig".into(),
-            },
-        );
-        let divergent = rec.finish(2, 0);
-        let in_memory = Replayer::from_origin(&reference).compare(&divergent);
-        let streamed = StreamReplayer::from_origin()
-            .compare_lines(jsonl.lines(), divergent.to_jsonl().lines())
-            .unwrap();
-        assert_eq!(streamed.divergence, in_memory.divergence);
-        assert_eq!(streamed.matched, in_memory.matched);
-    }
-
-    #[test]
-    fn streamed_compare_spans_segment_boundaries() {
-        use crate::segment::{RotationPolicy, SegmentedRecorder};
-
-        let run = |bad: bool| {
-            let mut rec = SegmentedRecorder::new("seg", 3, 1, RotationPolicy::by_records(3));
-            for i in 0..10u64 {
-                let action = if bad && i == 7 { "strike" } else { "dig" };
-                rec.record(
-                    i + 1,
-                    RunEvent::Proposal {
-                        device: i,
-                        action: action.into(),
-                    },
-                );
-                if rec.should_rotate() {
-                    rec.rotate(i + 1);
-                }
-            }
-            rec.finish(10, 0)
-        };
-        let golden = run(false);
-        assert!(golden.segments().len() > 2);
-        let chain = |led: &crate::segment::SegmentedLedger| {
-            led.to_jsonl_segments()
-                .into_iter()
-                .map(|(_, text)| text)
-                .collect::<String>()
-        };
-        let report = StreamReplayer::from_origin()
-            .compare_lines(chain(&golden).lines(), chain(&run(false)).lines())
-            .unwrap();
-        assert!(report.is_faithful(), "{report}");
-        let report = StreamReplayer::from_origin()
-            .compare_lines(chain(&golden).lines(), chain(&run(true)).lines())
-            .unwrap();
-        assert!(matches!(
-            report.divergence,
-            Some(Divergence::Mismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn streamed_compare_reports_parse_failures() {
-        let reference = reference();
-        let jsonl = reference.to_jsonl();
-        let mut torn = jsonl.clone();
-        torn.push_str("{not json\n");
-        match StreamReplayer::from_origin().compare_lines(torn.lines(), torn.lines()) {
-            Err(LedgerError::Parse { line, .. }) => assert_eq!(line, 6),
-            other => panic!("expected parse error, got {other:?}"),
-        }
     }
 
     #[test]
@@ -563,7 +352,7 @@ mod tests {
         // Reference: header, two events, seal. Pretend record 1 was a
         // snapshot; a resumed replay reproduces records 2.. only.
         let reference = reference();
-        let mut rec = RunRecorder::new("demo", 1, 1);
+        let mut rec = recorder();
         rec.record(
             1,
             RunEvent::Execution {
@@ -578,7 +367,7 @@ mod tests {
                 action: "dig".into(),
             },
         );
-        let replay = rec.finish(2, 0);
+        let replay = seal(rec, 2);
         let report = Replayer::from_snapshot(&reference, 1).compare(&replay);
         assert!(report.is_faithful(), "{report}");
         assert_eq!(report.start_seq, 2);

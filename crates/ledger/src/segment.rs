@@ -34,8 +34,8 @@ use crate::ledger::{Corruption, Ledger, LedgerError};
 /// When and how a [`SegmentedRecorder`] rolls to a new segment.
 ///
 /// A budget of zero disables that trigger; the all-zero default never
-/// rotates, which makes a segmented recorder byte-identical to a plain
-/// [`crate::RunRecorder`] run.
+/// rotates, so the run stays one plain [`Ledger`] that
+/// [`SegmentedLedger::into_single`] hands back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct RotationPolicy {
     /// Roll when the current segment holds at least this many records
@@ -74,8 +74,10 @@ fn segment_index_of(ledger: &Ledger) -> Option<u64> {
     }
 }
 
-/// A [`crate::RunRecorder`] that rolls its ledger into anchored segments
-/// under a [`RotationPolicy`].
+/// The flight recorder a running simulation or service appends through:
+/// opens the run with [`RunEvent::RunStarted`], accepts events, seals with
+/// [`RunEvent::RunFinished`] on [`finish`](SegmentedRecorder::finish), and
+/// rolls its ledger into anchored segments under a [`RotationPolicy`].
 ///
 /// The recorder only *decides* nothing by itself: the owner checks
 /// [`should_rotate`](SegmentedRecorder::should_rotate) at a deterministic
@@ -145,8 +147,7 @@ impl SegmentedRecorder {
         let seq = self.current.append(tick, event);
         if self.policy.max_bytes > 0 {
             let record = self.current.records().last().expect("just appended");
-            let line = serde_json::to_string(record).expect("record serialization cannot fail");
-            self.current_bytes += line.len() + 1;
+            self.current_bytes += record.jsonl_len();
         }
         seq
     }
@@ -340,8 +341,8 @@ impl SegmentedLedger {
     }
 
     /// The unrotated case: exactly one segment and nothing pruned. Returns
-    /// the segment, which is then a plain sealed [`Ledger`] byte-identical
-    /// to what an unsegmented [`crate::RunRecorder`] would have produced.
+    /// the segment, which is then a plain sealed [`Ledger`] — the run header,
+    /// every recorded event and the run seal, appended in order.
     pub fn into_single(mut self) -> Option<Ledger> {
         if self.segments.len() == 1 && self.first_index() == 0 {
             self.segments.pop()
@@ -450,33 +451,24 @@ impl SegmentedLedger {
         // Seal shape: non-final segments end with a segment seal naming
         // themselves and their own record count; the final segment ends
         // with the run seal.
-        let tail = &seg.records()[seg.len() - 1].event;
         if is_last {
-            if !seg.is_sealed() {
-                return Some(Corruption {
-                    seq: seg.len() as u64,
-                    reason:
-                        "not sealed: terminal run-finished record missing (truncated or tail deleted)"
-                            .into(),
-                });
-            }
-        } else {
-            match tail {
-                RunEvent::SegmentSealed { segment, records }
-                    if *segment == index && *records == seg.len() as u64 => {}
-                other => {
-                    return Some(Corruption {
-                        seq: seg.len() as u64 - 1,
-                        reason: format!(
-                            "non-final segment must seal with segment-sealed[{index}, {}] but ends with {}",
-                            seg.len(),
-                            other.kind()
-                        ),
-                    });
-                }
-            }
+            return seg.check_sealed().err();
         }
-        None
+        match &seg.records()[seg.len() - 1].event {
+            RunEvent::SegmentSealed { segment, records }
+                if *segment == index && *records == seg.len() as u64 =>
+            {
+                None
+            }
+            other => Some(Corruption {
+                seq: seg.len() as u64 - 1,
+                reason: format!(
+                    "non-final segment must seal with segment-sealed[{index}, {}] but ends with {}",
+                    seg.len(),
+                    other.kind()
+                ),
+            }),
+        }
     }
 
     /// Verify the whole retained chain; the first failing segment's error.
@@ -554,7 +546,6 @@ impl fmt::Display for SegmentedLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::RunRecorder;
 
     fn proposal(device: u64) -> RunEvent {
         RunEvent::Proposal {
@@ -575,19 +566,65 @@ mod tests {
     }
 
     #[test]
-    fn disabled_policy_matches_plain_recorder_bytes() {
+    fn recorder_opens_and_seals() {
+        let mut rec = SegmentedRecorder::new("demo", 7, 3, RotationPolicy::default());
+        assert_eq!(rec.len(), 1);
+        assert!(!rec.is_empty());
+        for i in 0..1_000 {
+            rec.record(i + 1, proposal(i));
+            assert!(!rec.should_rotate(), "the default policy never rotates");
+        }
+        let ledger = rec
+            .finish(1_000, 0)
+            .into_single()
+            .expect("one segment, nothing pruned");
+        assert!(ledger.verify().is_ok());
+        assert_eq!(ledger.len(), 1_002);
+        assert!(matches!(
+            ledger.records()[0].event,
+            RunEvent::RunStarted { seed: 7, .. }
+        ));
+        assert!(ledger.is_sealed());
+    }
+
+    #[test]
+    fn disabled_policy_matches_plain_ledger_bytes() {
         let mut seg = SegmentedRecorder::new("demo", 7, 3, RotationPolicy::default());
-        let mut plain = RunRecorder::new("demo", 7, 3);
+        let mut plain = Ledger::new();
+        plain.append(
+            0,
+            RunEvent::RunStarted {
+                experiment: "demo".into(),
+                seed: 7,
+                devices: 3,
+            },
+        );
         for i in 0..20 {
             seg.record(i + 1, proposal(i));
-            plain.record(i + 1, proposal(i));
-            assert!(!seg.should_rotate());
+            plain.append(i + 1, proposal(i));
         }
-        let seg = seg.finish(20, 0);
-        let plain = plain.finish(20, 0);
-        let single = seg.into_single().expect("one segment");
+        plain.append(
+            20,
+            RunEvent::RunFinished {
+                ticks: 20,
+                harms: 0,
+            },
+        );
+        let single = seg.finish(20, 0).into_single().expect("one segment");
         assert_eq!(single.to_jsonl(), plain.to_jsonl());
-        assert!(single.verify().is_ok());
+    }
+
+    #[test]
+    fn byte_budget_tracks_the_jsonl_size() {
+        let policy = RotationPolicy {
+            max_bytes: usize::MAX,
+            ..RotationPolicy::default()
+        };
+        let mut rec = SegmentedRecorder::new("seg", 7, 2, policy);
+        for i in 0..5 {
+            rec.record(i + 1, proposal(i));
+        }
+        assert_eq!(rec.current_bytes, rec.current().to_jsonl().len());
     }
 
     #[test]

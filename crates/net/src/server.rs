@@ -49,7 +49,7 @@ use std::thread;
 use std::time::Duration;
 
 use apdm_guards::{GuardVerdict, HarmOracle};
-use apdm_ledger::{Ledger, RunEvent, RunRecorder, SegmentedLedger};
+use apdm_ledger::{Ledger, RotationPolicy, RunEvent, SegmentedLedger, SegmentedRecorder};
 use apdm_policy::{AuditEntry, AuditKind};
 use apdm_serve::{Decision, DecisionRequest, PolicyDecisionService, ReqSnap, ServeStats};
 use apdm_telemetry::{self as telemetry, TraceContext};
@@ -184,7 +184,7 @@ struct Loop {
     done: HashMap<u64, bool>,
     /// request id → connection owed the decision.
     owed: HashMap<u64, u64>,
-    audit: RunRecorder,
+    audit: SegmentedRecorder,
     audit_seq: u64,
     rejects: u64,
     drops: u64,
@@ -448,7 +448,7 @@ pub fn serve<O: HarmOracle + Copy + Send + Sync>(
         pending: Vec::new(),
         done: HashMap::new(),
         owed: HashMap::new(),
-        audit: RunRecorder::new("e17/net-audit", cfg.seed, 0),
+        audit: SegmentedRecorder::new("e17/net-audit", cfg.seed, 0, RotationPolicy::default()),
         audit_seq: 0,
         rejects: 0,
         drops: 0,
@@ -468,7 +468,11 @@ pub fn serve<O: HarmOracle + Copy + Send + Sync>(
     let final_tick = run?;
 
     let (ledger, stats) = svc.finish_segmented(final_tick);
-    let audit = state.audit.finish(final_tick, 0);
+    let audit = state
+        .audit
+        .finish(final_tick, 0)
+        .into_single()
+        .expect("the default policy never rotates");
     Ok(ServeOutcome {
         ledger,
         stats,

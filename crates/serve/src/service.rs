@@ -43,7 +43,7 @@
 //! never make it approve work it did not evaluate.
 
 use apdm_guards::{GuardContext, GuardStack, GuardVerdict, HarmOracle};
-use apdm_ledger::{Ledger, RotationPolicy, RunEvent, SegmentedLedger, SegmentedRecorder};
+use apdm_ledger::{RotationPolicy, RunEvent, SegmentedLedger, SegmentedRecorder};
 use apdm_policy::Action;
 use apdm_telemetry as telemetry;
 use apdm_telemetry::{SloMonitor, SloSpec, TraceContext};
@@ -168,13 +168,12 @@ pub struct ServeConfig {
     /// identically at every thread count), not any verdict.
     pub backpressure: bool,
     /// Segment rotation for the run ledger. `None` records one unbounded
-    /// segment (the pre-E16 behaviour, and what [`finish`] expects —
-    /// see [`finish_segmented`]). When set, the service checks the budget
-    /// at the end of every tick's dispatch work and rolls to a new
-    /// anchored segment headed by a checkpoint frame, so a crashed
+    /// segment (the pre-E16 behaviour; [`finish_segmented`] then seals a
+    /// single segment that `into_single()` unwraps). When set, the service
+    /// checks the budget at the end of every tick's dispatch work and rolls
+    /// to a new anchored segment headed by a checkpoint frame, so a crashed
     /// process can resume from the last rotation point.
     ///
-    /// [`finish`]: PolicyDecisionService::finish
     /// [`finish_segmented`]: PolicyDecisionService::finish_segmented
     pub rotation: Option<RotationPolicy>,
 }
@@ -581,19 +580,6 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
         decisions
     }
 
-    /// Seal and return the run ledger plus the final counters. `now` is the
-    /// tick recorded on the closing record. Only valid with rotation off
-    /// (the default) — a rotated run holds several segments, so callers
-    /// that enable [`ServeConfig::rotation`] must use
-    /// [`finish_segmented`](Self::finish_segmented) instead.
-    pub fn finish(self, now: u64) -> (Ledger, ServeStats) {
-        let (segments, stats) = self.finish_segmented(now);
-        let ledger = segments
-            .into_single()
-            .expect("finish() requires rotation off; use finish_segmented()");
-        (ledger, stats)
-    }
-
     /// Seal the run and return every retained ledger segment plus the
     /// final counters. With rotation off this is one segment and
     /// [`SegmentedLedger::into_single`] recovers the plain ledger.
@@ -948,7 +934,8 @@ mod tests {
         assert_eq!(decisions.len(), 1);
         assert_eq!(decisions[0].verdict, GuardVerdict::Allow);
         assert_eq!(decisions[0].shed, None);
-        let (ledger, stats) = svc.finish(1);
+        let (ledger, stats) = svc.finish_segmented(1);
+        let ledger = ledger.into_single().expect("rotation is off");
         assert!(ledger.verify().is_ok());
         assert_eq!(stats.decided, 1);
         assert_eq!(stats.allowed, 1);
@@ -1086,7 +1073,8 @@ mod tests {
             }
             let stats = svc.stats();
             let waits = svc.drain_shard_waits();
-            let (ledger, _) = svc.finish(200);
+            let (ledger, _) = svc.finish_segmented(200);
+            let ledger = ledger.into_single().expect("rotation is off");
             (decisions, ledger.to_jsonl(), stats, waits)
         };
         let (d_bal, l_bal, s_bal, _) = run(Scheduling::Balanced, 1);
@@ -1160,7 +1148,8 @@ mod tests {
                     break;
                 }
             }
-            let (ledger, stats) = svc.finish(40);
+            let (ledger, stats) = svc.finish_segmented(40);
+            let ledger = ledger.into_single().expect("rotation is off");
             (decisions, ledger.to_jsonl(), stats)
         };
         let (d1, l1, s1) = run(1);

@@ -22,7 +22,8 @@ fn run_service(spec: WorkloadSpec, cfg: ServeConfig) -> (Vec<Decision>, String) 
     let mut gen = WorkloadGen::new(spec);
     let done = run_to_completion(&mut svc, &mut gen, 1, 50_000, |_, _| {});
     assert_eq!(done.watchdog, None, "drain did not terminate");
-    let (ledger, _) = svc.finish(done.final_tick);
+    let (ledger, _) = svc.finish_segmented(done.final_tick);
+    let ledger = ledger.into_single().expect("rotation is off");
     ledger.verify().expect("sealed ledger verifies");
     (done.decisions, ledger.to_jsonl())
 }

@@ -33,7 +33,7 @@ use serde::{Deserialize, Serialize};
 use apdm_comms::{CommsConfig, Courier, Envelope, FailMode, Incoming, IsolationMonitor, SafetyMsg};
 use apdm_governance::{CouncilBallot, CouncilGovernor, MetaPolicy};
 use apdm_guards::{AdmissionRequest, AggregateSpec, FormationGuard, KillBallot, QuorumKillSwitch};
-use apdm_ledger::{Ledger, RunEvent, RunRecorder};
+use apdm_ledger::{Ledger, RotationPolicy, RunEvent, SegmentedRecorder};
 use apdm_par::Watchdog;
 use apdm_policy::{Action, Condition, EcaRule, Event, PolicyEngine};
 use apdm_simnet::{Link, Network, NodeId, Topology};
@@ -42,7 +42,6 @@ use apdm_telemetry as telemetry;
 use apdm_telemetry::{SloMonitor, SloSpec};
 
 use crate::oracle::actions;
-use crate::runner::ParRunner;
 
 /// Fixed parameters of an E12 run (the sweep varies loss, partition
 /// duration and fail mode per cell).
@@ -388,7 +387,7 @@ pub fn run_e12_cell(
     let mut ratify: BTreeMap<u64, Ratify> = BTreeMap::new();
     let mut next_ballot_id = 0u64;
 
-    let mut recorder = RunRecorder::new("e12", seed, n as u64);
+    let mut recorder = SegmentedRecorder::new("e12", seed, n as u64, RotationPolicy::default());
     let mut watchdog = Watchdog::new(cfg.ticks.saturating_mul(4));
     let mut tripped: Option<String> = None;
     let mut harms = 0u64;
@@ -768,7 +767,10 @@ pub fn run_e12_cell(
         response_cache_misses += misses;
     }
     let (net_duplicated, net_reordered) = net.fault_stats();
-    let ledger = recorder.finish(t, harms);
+    let ledger = recorder
+        .finish(t, harms)
+        .into_single()
+        .expect("the default policy never rotates");
     let report = E12CellReport {
         loss,
         partition_ticks,
@@ -796,7 +798,7 @@ pub fn run_e12_cell(
 }
 
 /// Run experiment E12: sweep loss × partition duration × fail mode. Cells
-/// are independent and fan out through [`ParRunner`]; results come back in
+/// are independent and fan out through [`apdm_par::par_map`]; results come back in
 /// row-major sweep order regardless of thread count.
 pub fn run_e12(
     cfg: &E12Config,
@@ -812,8 +814,8 @@ pub fn run_e12(
             }
         }
     }
-    let runner = ParRunner::new(runner_threads);
-    let reports = runner.map(cells, |_, (loss, partition_ticks, mode)| {
+    let threads = apdm_par::resolve_threads(runner_threads);
+    let reports = apdm_par::par_map(threads, cells, |_, (loss, partition_ticks, mode)| {
         run_e12_cell(cfg, loss, partition_ticks, mode).0
     });
     E12Report {

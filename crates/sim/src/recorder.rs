@@ -22,7 +22,9 @@ use serde::{Deserialize, Serialize, Value};
 use apdm_device::{Device, DeviceId, DeviceKind, OrgId};
 use apdm_guards::tamper::{TamperStatus, Tamperable};
 use apdm_guards::{GuardStack, PreActionCheck};
-use apdm_ledger::{Ledger, LedgerError, ReplayReport, Replayer, RunEvent, RunRecorder};
+use apdm_ledger::{
+    Ledger, LedgerError, ReplayReport, Replayer, RotationPolicy, RunEvent, SegmentedRecorder,
+};
 use apdm_policy::{Action, Condition, EcaRule, Event};
 use apdm_statespace::{StateDelta, StateSchema};
 
@@ -182,7 +184,12 @@ pub fn run_recorded(spec: &RecordSpec) -> RecordedRun {
     let mut rng = StdRng::seed_from_u64(spec.seed);
     let mut world = build_world(spec);
     let mut fleet = build_fleet(spec, &mut rng);
-    fleet.set_recorder(RunRecorder::new("record", spec.seed, spec.n_devices as u64));
+    fleet.set_recorder(SegmentedRecorder::new(
+        "record",
+        spec.seed,
+        spec.n_devices as u64,
+        RotationPolicy::default(),
+    ));
     let events = tick_events(&fleet);
     for tick in 1..=spec.ticks {
         advance_tick(spec, &mut fleet, &mut world, &mut rng, &events, tick);
@@ -190,7 +197,10 @@ pub fn run_recorded(spec: &RecordSpec) -> RecordedRun {
     let metrics = fleet.metrics().clone();
     let score = skynet_score(&fleet, &world, 1, 1);
     let recorder = fleet.take_recorder().expect("recorder was attached");
-    let ledger = recorder.finish(spec.ticks, metrics.harm_count() as u64);
+    let ledger = recorder
+        .finish(spec.ticks, metrics.harm_count() as u64)
+        .into_single()
+        .expect("the default policy never rotates");
     RecordedRun {
         ledger,
         metrics,
@@ -246,7 +256,12 @@ fn replay_recorded_against(
         }
     };
 
-    fleet.set_recorder(RunRecorder::new("record", spec.seed, spec.n_devices as u64));
+    fleet.set_recorder(SegmentedRecorder::new(
+        "record",
+        spec.seed,
+        spec.n_devices as u64,
+        RotationPolicy::default(),
+    ));
     let events = tick_events(&fleet);
     for tick in (start_tick + 1)..=spec.ticks {
         advance_tick(spec, &mut fleet, &mut world, &mut rng, &events, tick);
@@ -254,7 +269,10 @@ fn replay_recorded_against(
     let metrics = fleet.metrics().clone();
     let score = skynet_score(&fleet, &world, 1, 1);
     let recorder = fleet.take_recorder().expect("recorder was attached");
-    let replayed = recorder.finish(spec.ticks, metrics.harm_count() as u64);
+    let replayed = recorder
+        .finish(spec.ticks, metrics.harm_count() as u64)
+        .into_single()
+        .expect("the default policy never rotates");
     let report = if prefix {
         replayer.compare_prefix(&replayed)
     } else {

@@ -15,7 +15,7 @@ use apdm_guards::{
     AdmissionRequest, AggregateSpec, CollaborativeAssessment, DeactivationController,
     FormationGuard, GuardStack, KillBallot, PreActionCheck, QuorumKillSwitch, StateSpaceGuard,
 };
-use apdm_ledger::{Ledger, RunRecorder};
+use apdm_ledger::{Ledger, RotationPolicy, SegmentedRecorder};
 use apdm_policy::obligation::ObligationCatalog;
 use apdm_policy::{
     Action, BreakGlassController, BreakGlassRule, Condition, EcaRule, Event, Obligation,
@@ -29,7 +29,7 @@ use apdm_telemetry as telemetry;
 use crate::faults::{FaultInjector, Pathway};
 use crate::oracle::{actions, OracleQuality};
 use crate::world::WorldConfig;
-use crate::{Fleet, FleetConfig, HarmCause, Metrics, SkynetScore, World};
+use crate::{Fleet, FleetConfig, HarmCause, SkynetScore, World};
 
 // ---------------------------------------------------------------------------
 // E1 — pre-action checks (Section VI.A)
@@ -1606,7 +1606,12 @@ pub fn run_e10(n_devices: usize, ticks: u64, ring_capacity: usize, seed: u64) ->
             let pos = (rng.random_range(0..30), rng.random_range(0..30));
             fleet.add(e1_device(i as u64, action), stack, pos);
         }
-        fleet.set_recorder(RunRecorder::new("e10", seed, n_devices as u64));
+        fleet.set_recorder(SegmentedRecorder::new(
+            "e10",
+            seed,
+            n_devices as u64,
+            RotationPolicy::default(),
+        ));
         let events: Vec<(DeviceId, Event)> = fleet
             .iter()
             .map(|(&id, _)| (id, Event::named("tick")))
@@ -1657,68 +1662,6 @@ pub fn run_e10(n_devices: usize, ticks: u64, ring_capacity: usize, seed: u64) ->
         overhead_ns_per_tick: (ring_secs - baseline_secs) * 1e9 / ticks as f64,
         records_captured: collector.len(),
         records_dropped: collector.dropped(),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Experiment fan-out
-// ---------------------------------------------------------------------------
-
-/// Deterministic parallel experiment fan-out.
-///
-/// Every experiment entry point in this module is a pure function of its
-/// arguments, so sweeps over (scenario, seed, fleet-size) cells are
-/// embarrassingly parallel. `ParRunner` distributes independent cells
-/// across `apdm-par` workers and merges results **in input order**: a
-/// parallel sweep emits exactly the table a sequential loop would, just
-/// faster on multi-core hosts.
-#[derive(Debug, Clone, Copy)]
-pub struct ParRunner {
-    threads: usize,
-}
-
-impl ParRunner {
-    /// A runner with `threads` workers. `0` auto-detects (respecting the
-    /// `APDM_THREADS` override), `1` runs inline on the caller's thread.
-    pub fn new(threads: usize) -> Self {
-        ParRunner {
-            threads: apdm_par::resolve_threads(threads),
-        }
-    }
-
-    /// The resolved worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Run `f` over `cells` across the worker pool; results come back in
-    /// input order regardless of which worker finished first.
-    pub fn map<C, R, F>(&self, cells: Vec<C>, f: F) -> Vec<R>
-    where
-        C: Send,
-        R: Send,
-        F: Fn(usize, C) -> R + Sync,
-    {
-        apdm_par::par_map(self.threads, cells, f)
-    }
-
-    /// Sweep a (scenario × seed × fleet-size) grid in row-major input
-    /// order: all seeds and sizes of the first scenario, then the next.
-    pub fn grid<S, R, F>(&self, scenarios: &[S], seeds: &[u64], sizes: &[usize], f: F) -> Vec<R>
-    where
-        S: Clone + Send,
-        R: Send,
-        F: Fn(&S, u64, usize) -> R + Sync,
-    {
-        let mut cells = Vec::with_capacity(scenarios.len() * seeds.len() * sizes.len());
-        for scenario in scenarios {
-            for &seed in seeds {
-                for &size in sizes {
-                    cells.push((scenario.clone(), seed, size));
-                }
-            }
-        }
-        self.map(cells, |_, (scenario, seed, size)| f(&scenario, seed, size))
     }
 }
 
@@ -1852,7 +1795,12 @@ fn e11_run_once(n_devices: usize, threads: usize, ticks: u64, seed: u64, cache: 
         fleet.add(device, stack, pos);
     }
 
-    fleet.set_recorder(RunRecorder::new("e11", seed, n_devices as u64));
+    fleet.set_recorder(SegmentedRecorder::new(
+        "e11",
+        seed,
+        n_devices as u64,
+        RotationPolicy::default(),
+    ));
     let events: Vec<(DeviceId, Event)> = fleet
         .iter()
         .map(|(&id, _)| (id, Event::named("tick")))
@@ -1867,7 +1815,9 @@ fn e11_run_once(n_devices: usize, threads: usize, ticks: u64, seed: u64, cache: 
     let ledger = fleet
         .take_recorder()
         .expect("recorder was attached")
-        .finish(ticks, harms);
+        .finish(ticks, harms)
+        .into_single()
+        .expect("the default policy never rotates");
     E11Run {
         ledger,
         wall_ms,
@@ -1882,7 +1832,7 @@ fn e11_run_once(n_devices: usize, threads: usize, ticks: u64, seed: u64, cache: 
 /// wall time, speedup against the reference, and whether its sealed
 /// ledger is **bit-identical** to the reference's (it always must be —
 /// tests assert it). Cells run back-to-back on the calling thread, never
-/// through [`ParRunner`], so wall-clock numbers are unpolluted.
+/// through [`apdm_par::par_map`], so wall-clock numbers are unpolluted.
 pub fn run_e11(
     fleet_sizes: &[usize],
     thread_counts: &[usize],
@@ -1920,11 +1870,6 @@ pub fn run_e11(
         cache,
         cells,
     }
-}
-
-/// Compute a Metrics snapshot for external reporting.
-pub fn metrics_snapshot(fleet: &Fleet) -> Metrics {
-    fleet.metrics().clone()
 }
 
 #[cfg(test)]
@@ -2097,25 +2042,13 @@ mod tests {
     }
 
     #[test]
-    fn par_runner_merges_in_cell_order() {
-        let runner = ParRunner::new(4);
-        let got = runner.grid(&["a", "b"], &[1, 2], &[8, 16], |s, seed, n| {
-            format!("{s}/{seed}/{n}")
-        });
-        assert_eq!(
-            got,
-            ["a/1/8", "a/1/16", "a/2/8", "a/2/16", "b/1/8", "b/1/16", "b/2/8", "b/2/16"]
-        );
-    }
-
-    #[test]
     fn par_runner_fanout_matches_sequential_sweep() {
         let sequential: Vec<E1Report> = E1Arm::all()
             .iter()
             .map(|&arm| run_e1(arm, 8, 8, 40, 7))
             .collect();
         let parallel =
-            ParRunner::new(4).map(E1Arm::all().to_vec(), |_, arm| run_e1(arm, 8, 8, 40, 7));
+            apdm_par::par_map(4, E1Arm::all().to_vec(), |_, arm| run_e1(arm, 8, 8, 40, 7));
         assert_eq!(sequential, parallel);
     }
 

@@ -76,6 +76,33 @@ cmp -s "$trace_dir/run-seq.jsonl" "$trace_dir/run-par.jsonl" \
     || { echo "parallel smoke: 4-thread ledger diverges from sequential"; exit 1; }
 echo "parallel smoke: 4-thread ledger byte-identical to sequential"
 
+echo "==> replay smoke (replay the seed-42 record: origin, snapshot, torn prefix, tampering)"
+replay_expect() { # <expected exit> <expected output fragment> <ledger> [replay flags...]
+    local want_exit=$1 want=$2 ledger=$3 got status=0
+    shift 3
+    got="$(./target/release/apdm-experiments replay "$ledger" --seed 42 --quiet "$@" 2>/dev/null)" \
+        || status=$?
+    test "$status" -eq "$want_exit" \
+        || { echo "replay smoke: $(basename "$ledger") $* exited $status, expected $want_exit"; exit 1; }
+    grep -qF "$want" <<<"$got" \
+        || { echo "replay smoke: $(basename "$ledger") $* did not report '$want'"; exit 1; }
+}
+replay_expect 0 "2167 events reproduced from record 0" "$trace_dir/run-seq.jsonl"
+replay_expect 0 "721 events reproduced from record 1446" "$trace_dir/run-seq.jsonl" --from-snapshot
+# Negative controls: a clean cut is not a torn write and must fail; a
+# changed record must fail and be named; a torn final line is a crash and
+# replays the surviving prefix.
+head -n 1000 "$trace_dir/run-seq.jsonl" > "$trace_dir/replay-cut.jsonl"
+replay_expect 1 "extra events past record 1000" "$trace_dir/replay-cut.jsonl"
+sed '8s/"action":"strike"/"action":"dig"/' "$trace_dir/run-seq.jsonl" > "$trace_dir/replay-tampered.jsonl"
+cmp -s "$trace_dir/run-seq.jsonl" "$trace_dir/replay-tampered.jsonl" \
+    && { echo "replay smoke: tamper probe changed nothing"; exit 1; }
+replay_expect 1 "record 7" "$trace_dir/replay-tampered.jsonl"
+sed -e '1001s/^\(.\{40\}\).*/\1/' -e '1002,$d' "$trace_dir/run-seq.jsonl" > "$trace_dir/replay-torn.jsonl"
+replay_expect 0 "1000 events reproduced" "$trace_dir/replay-torn.jsonl"
+echo "replay smoke: origin and snapshot replays faithful, torn prefix recovered," \
+     "clean cut and tampered record rejected"
+
 echo "==> degraded-comms smoke (E12 cell, loss=0.3, fixed seed)"
 ./target/release/apdm-experiments run e12 --seed 42 --threads 1 \
     --out "$trace_dir/e12-seq.jsonl" --json --quiet > "$trace_dir/e12-seq.json"

@@ -98,6 +98,7 @@ use apdm::bench::{
 use apdm::comms::FailMode;
 use apdm::ledger::{Ledger, SegmentedLedger};
 use apdm::net::{run_chaos_client, run_workload_client, serve, ChaosKind};
+use apdm::par::{par_map, resolve_threads};
 use apdm::serve::{Scheduling, SimDisk};
 use apdm::sim::contagion::{run_contagion, ContagionArm};
 use apdm::sim::degraded::{run_e12, run_e12_cell, E12Config};
@@ -1182,13 +1183,13 @@ fn emit<T: serde::Serialize + std::fmt::Debug>(json: bool, value: &T) {
 /// Run each cell across the fan-out pool, then emit reports in table
 /// order. Workers run with telemetry disabled, so progress lines from
 /// inside a cell only appear at `--threads 1`; results are unaffected.
-fn sweep<C, R, F>(runner: &ParRunner, json: bool, cells: Vec<C>, f: F)
+fn sweep<C, R, F>(threads: usize, json: bool, cells: Vec<C>, f: F)
 where
     C: Send,
     R: serde::Serialize + std::fmt::Debug + Send,
     F: Fn(C) -> R + Sync,
 {
-    for report in runner.map(cells, |_, cell| f(cell)) {
+    for report in par_map(threads, cells, |_, cell| f(cell)) {
         emit(json, &report);
     }
 }
@@ -1216,24 +1217,24 @@ fn run_experiment(
             seed = seed
         );
     }
-    let runner = ParRunner::new(threads);
+    let pool = resolve_threads(threads);
     match id {
-        "f1" => sweep(&runner, json, vec![8usize, 32], |n| {
+        "f1" => sweep(pool, json, vec![8usize, 32], |n| {
             run_surveillance(n, 300, seed)
         }),
-        "e1" => sweep(&runner, json, E1Arm::all().to_vec(), |arm| {
+        "e1" => sweep(pool, json, E1Arm::all().to_vec(), |arm| {
             run_e1(arm, 12, 12, 100, seed)
         }),
-        "e2" => sweep(&runner, json, E2Arm::all().to_vec(), |arm| {
+        "e2" => sweep(pool, json, E2Arm::all().to_vec(), |arm| {
             run_e2(arm, 16, 80, seed)
         }),
-        "e2d" => sweep(&runner, json, E2dArm::all().to_vec(), |arm| {
+        "e2d" => sweep(pool, json, E2dArm::all().to_vec(), |arm| {
             run_e2d(arm, 400, 0.3, seed)
         }),
-        "e3" => sweep(&runner, json, E3Arm::all().to_vec(), |arm| {
+        "e3" => sweep(pool, json, E3Arm::all().to_vec(), |arm| {
             run_e3(arm, 12, 0.3, 100, seed)
         }),
-        "e4" => sweep(&runner, json, E4Arm::all().to_vec(), |arm| {
+        "e4" => sweep(pool, json, E4Arm::all().to_vec(), |arm| {
             run_e4(arm, 6, 2.5, 10.0, 50, seed)
         }),
         "e5" => {
@@ -1243,11 +1244,11 @@ fn run_experiment(
                     cells.push((arm, corrupted));
                 }
             }
-            sweep(&runner, json, cells, |(arm, corrupted)| {
+            sweep(pool, json, cells, |(arm, corrupted)| {
                 run_e5(arm, corrupted, 400, seed)
             });
         }
-        "e6" => sweep(&runner, json, E6Arm::all().to_vec(), |arm| {
+        "e6" => sweep(pool, json, E6Arm::all().to_vec(), |arm| {
             run_e6(arm, 6, 40, 60, seed)
         }),
         "e7" => {
@@ -1257,17 +1258,17 @@ fn run_experiment(
                     cells.push((pathway, guarded));
                 }
             }
-            sweep(&runner, json, cells, |(pathway, guarded)| {
+            sweep(pool, json, cells, |(pathway, guarded)| {
                 run_e7(pathway, guarded, 4, 100, seed)
             });
         }
-        "e8" => sweep(&runner, json, ContagionArm::all().to_vec(), |arm| {
+        "e8" => sweep(pool, json, ContagionArm::all().to_vec(), |arm| {
             run_contagion(arm, 16, 40, seed)
         }),
-        "a1" => sweep(&runner, json, GuardMask::all().to_vec(), |mask| {
+        "a1" => sweep(pool, json, GuardMask::all().to_vec(), |mask| {
             run_a1(mask, 60, seed)
         }),
-        "a3" => sweep(&runner, json, vec![0.0f64, 0.01, 0.05, 0.2], |p| {
+        "a3" => sweep(pool, json, vec![0.0f64, 0.01, 0.05, 0.2], |p| {
             run_a3(p, 5, 200, seed)
         }),
         "e9" => {
