@@ -1,9 +1,10 @@
 //! The hash-chained, append-only ledger and its verification pass.
 
+use std::cell::RefCell;
 use std::fmt;
 
 use apdm_telemetry::{self as telemetry, event, Level};
-use serde::{Deserialize, Serialize, Value};
+use serde::{json, Deserialize, Serialize};
 
 use crate::event::{RunEvent, SnapshotFrame};
 use crate::hash::{chain_digest, GENESIS};
@@ -28,6 +29,9 @@ thread_local! {
         const { telemetry::CachedCounter::new("ledger.corruption.detected") };
     static TORN_TAIL_RECOVERED: telemetry::CachedCounter =
         const { telemetry::CachedCounter::new("ledger.torn_tail.recovered") };
+    /// The canonical-payload buffer every append and verification on this
+    /// thread writes into, so hashing a record allocates nothing.
+    static PAYLOAD: RefCell<String> = const { RefCell::new(String::new()) };
 }
 
 /// Build a [`Corruption`], surfacing it through telemetry: a
@@ -104,32 +108,40 @@ impl fmt::Display for LedgerError {
 
 impl std::error::Error for LedgerError {}
 
-/// Canonical payload bytes of a record: compact JSON of `[seq, tick, event]`.
+/// Write a record's canonical payload bytes into `out` (cleared first):
+/// compact JSON of `[seq, tick, event]`, streamed without building a tree.
 ///
-/// Canonical because the vendored `serde_json` emits no whitespace, struct
+/// Canonical because the vendored serializer emits no whitespace, struct
 /// fields in declaration order, and a fixed float format — two equal events
 /// always serialize to identical bytes.
-fn canonical_payload(seq: u64, tick: u64, event: &RunEvent) -> String {
-    let value = Value::Seq(vec![
-        Value::UInt(seq),
-        Value::UInt(tick),
-        Serialize::to_value(event),
-    ]);
-    serde_json::to_string(&value).expect("canonical payload serialization cannot fail")
+fn canonical_payload(out: &mut String, seq: u64, tick: u64, event: &RunEvent) {
+    out.clear();
+    out.push('[');
+    json::write_u64(out, seq);
+    out.push(',');
+    json::write_u64(out, tick);
+    out.push(',');
+    event.write_json(out);
+    out.push(']');
 }
 
-/// One record's JSONL line, without its trailing newline: the single place
-/// the on-disk record encoding is produced.
-fn jsonl_line(record: &LedgerRecord) -> String {
-    serde_json::to_string(record).expect("record serialization cannot fail")
+/// The digest chaining record `[seq, tick, event]` onto `prev`, with the
+/// length of the record's canonical payload.
+fn chain_record(prev: u64, seq: u64, tick: u64, event: &RunEvent) -> (u64, usize) {
+    PAYLOAD.with_borrow_mut(|payload| {
+        canonical_payload(payload, seq, tick, event);
+        (chain_digest(prev, payload.as_bytes()), payload.len())
+    })
 }
 
-impl LedgerRecord {
-    /// Bytes this record occupies in [`Ledger::to_jsonl`] output, newline
-    /// included.
-    pub(crate) fn jsonl_len(&self) -> usize {
-        jsonl_line(self).len() + 1
-    }
+/// Bytes a record occupies in [`Ledger::to_jsonl`] output, newline
+/// included, from its canonical payload length. The line
+/// `{"seq":S,"tick":T,"event":E,"digest":D}` holds the payload `[S,T,E]`
+/// minus its 4 bytes of brackets and commas, plus 35 bytes of keys and
+/// punctuation and the digest's decimal digits.
+fn jsonl_len(payload_len: usize, digest: u64) -> usize {
+    let digest_digits = digest.checked_ilog10().map_or(1, |d| d as usize + 1);
+    payload_len - 4 + 35 + digest_digits + 1
 }
 
 /// An append-only, hash-chained event log.
@@ -150,6 +162,12 @@ impl Ledger {
 
     /// Append an event, chaining its digest; returns the new record's seq.
     pub fn append(&mut self, tick: u64, event: RunEvent) -> u64 {
+        self.append_sized(tick, event).0
+    }
+
+    /// [`append`](Ledger::append), also returning the bytes the new record
+    /// adds to [`to_jsonl`](Ledger::to_jsonl) output.
+    pub(crate) fn append_sized(&mut self, tick: u64, event: RunEvent) -> (u64, usize) {
         // Append is the recorder hot path: skip the thread-local lookup
         // entirely when no telemetry dispatch is installed.
         if !telemetry::enabled() {
@@ -161,17 +179,16 @@ impl Ledger {
     }
 
     /// Chain and store one record: the untimed body of [`Ledger::append`].
-    fn push(&mut self, tick: u64, event: RunEvent) -> u64 {
+    fn push(&mut self, tick: u64, event: RunEvent) -> (u64, usize) {
         let seq = self.records.len() as u64;
-        let payload = canonical_payload(seq, tick, &event);
-        let digest = chain_digest(self.head_digest(), payload.as_bytes());
+        let (digest, payload_len) = chain_record(self.head_digest(), seq, tick, &event);
         self.records.push(LedgerRecord {
             seq,
             tick,
             event,
             digest,
         });
-        seq
+        (seq, jsonl_len(payload_len, digest))
     }
 
     /// All records in append order.
@@ -221,8 +238,7 @@ impl Ledger {
                         ),
                     ));
                 }
-                let payload = canonical_payload(record.seq, record.tick, &record.event);
-                let expected = chain_digest(prev, payload.as_bytes());
+                let (expected, _) = chain_record(prev, record.seq, record.tick, &record.event);
                 if record.digest != expected {
                     return Err(corruption(
                         seq,
@@ -295,7 +311,7 @@ impl Ledger {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for record in &self.records {
-            out.push_str(&jsonl_line(record));
+            record.write_json(&mut out);
             out.push('\n');
         }
         out
@@ -398,6 +414,7 @@ impl fmt::Display for Ledger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Value;
 
     fn sample() -> Ledger {
         let mut ledger = Ledger::new();
@@ -570,6 +587,28 @@ mod tests {
         let back = Ledger::from_jsonl(&jsonl).unwrap();
         assert_eq!(back, ledger);
         assert!(back.verify().is_ok());
+    }
+
+    #[test]
+    fn jsonl_len_matches_each_exported_line() {
+        let mut ledger = Ledger::new();
+        let mut lens = Vec::new();
+        for (tick, event) in sample().records().iter().map(|r| (r.tick, r.event.clone())) {
+            lens.push(ledger.append_sized(tick, event).1);
+        }
+        let lines: Vec<usize> = ledger.to_jsonl().lines().map(|l| l.len() + 1).collect();
+        assert_eq!(lens, lines);
+        // Every digest width, down to a single digit.
+        for digest in [0, 9, 10, 12_345, u64::MAX] {
+            let record = LedgerRecord {
+                digest,
+                ..ledger.records()[0].clone()
+            };
+            let mut payload = String::new();
+            canonical_payload(&mut payload, record.seq, record.tick, &record.event);
+            let line = serde_json::to_string(&record).unwrap();
+            assert_eq!(jsonl_len(payload.len(), digest), line.len() + 1);
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! equal event-for-event regardless of which pool produced the names. JSON
 //! round-trips as a plain string, keeping the JSONL schema unchanged.
 
-use serde::{Deserialize, Error, Serialize, Value};
+use serde::{json, Deserialize, Error, Serialize, Value};
 use std::borrow::Borrow;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -76,6 +76,9 @@ impl PartialEq<&str> for Name {
 impl Serialize for Name {
     fn to_value(&self) -> Value {
         Value::Str(self.0.to_string())
+    }
+    fn write_json(&self, out: &mut String) {
+        json::write_str(out, &self.0);
     }
 }
 

@@ -144,10 +144,9 @@ impl SegmentedRecorder {
 
     /// Append an event to the current segment; returns its in-segment seq.
     pub fn record(&mut self, tick: u64, event: RunEvent) -> u64 {
-        let seq = self.current.append(tick, event);
+        let (seq, line_len) = self.current.append_sized(tick, event);
         if self.policy.max_bytes > 0 {
-            let record = self.current.records().last().expect("just appended");
-            self.current_bytes += record.jsonl_len();
+            self.current_bytes += line_len;
         }
         seq
     }
