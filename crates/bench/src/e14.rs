@@ -234,8 +234,8 @@ impl E14Report {
 
 /// Run one mode of the E14 pipeline and return its report plus the captured
 /// telemetry records (empty in [`TraceMode::Disabled`]). The records are
-/// what `apdm-experiments trace-analyze` consumes after
-/// [`export_jsonl`](telemetry::export_jsonl).
+/// what `apdm-experiments trace-analyze` consumes once written out as JSONL
+/// by the `apdm` facade's `trace::export_jsonl`.
 pub fn run_e14_mode(cfg: &E14Config, mode: TraceMode) -> (E14ModeReport, Vec<TraceRecord>) {
     let started = Instant::now();
 

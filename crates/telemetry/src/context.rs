@@ -33,7 +33,7 @@ pub const FIELD_DEVICE: &str = "dev";
 /// SplitMix64 finalizer: a cheap, well-distributed `u64 -> u64` mix used
 /// for span-id derivation and sampling decisions.
 #[inline]
-pub fn mix64(x: u64) -> u64 {
+pub(crate) fn mix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

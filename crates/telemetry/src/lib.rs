@@ -19,9 +19,9 @@
 //!   [`install`] (RAII guard). Provided sinks: [`RingCollector`] (bounded
 //!   flight recorder), [`StderrSubscriber`] (console progress lines),
 //!   [`Fanout`].
-//! * Exporters: [`export_jsonl`] (lossless, re-importable via
-//!   [`import_jsonl`]) and [`export_chrome`] (`chrome://tracing` /
-//!   Perfetto).
+//! * Records stay in memory; the trace file formats (JSONL and Chrome
+//!   `trace_event`) live in the `apdm` facade's `trace` module, on the
+//!   workspace's one JSON codec.
 //!
 //! ## Metrics
 //!
@@ -39,17 +39,17 @@
 //! * [`SloMonitor`] evaluates [`SloSpec`] objectives (counter ratios,
 //!   histogram latency thresholds) over windowed instrument deltas and
 //!   emits `slo.eval` burn-rate events.
-//! * [`TraceGraph`] rebuilds the cross-device span DAG from an exported
-//!   trace, [`TraceGraph::critical_path`] reconstructs per-request critical
-//!   paths (waits telescope exactly to end-to-end latency), and
-//!   [`export_chrome_devices`] renders one Chrome track per device.
+//! * [`TraceGraph`] rebuilds the cross-device span DAG from captured or
+//!   re-imported records, and [`TraceGraph::critical_path`] reconstructs
+//!   per-request critical paths (waits telescope exactly to end-to-end
+//!   latency).
 //!
 //! ## Example
 //!
 //! ```
 //! use std::rc::Rc;
 //! use apdm_telemetry as telemetry;
-//! use telemetry::{event, span, Level, RingCollector};
+//! use telemetry::{event, span, Level, RecordKind, RingCollector};
 //!
 //! let collector = Rc::new(RingCollector::new(1024));
 //! let guard = telemetry::install(collector.clone());
@@ -64,9 +64,12 @@
 //! drop(guard);
 //!
 //! let records = collector.records();
-//! assert_eq!(records.len(), 3); // span_start, event, span_end
-//! let jsonl = telemetry::export_jsonl(&records);
-//! assert_eq!(telemetry::import_jsonl(&jsonl).unwrap(), records);
+//! let kinds: Vec<_> = records.iter().map(|r| r.kind).collect();
+//! assert_eq!(
+//!     kinds,
+//!     [RecordKind::SpanStart, RecordKind::Event, RecordKind::SpanEnd]
+//! );
+//! assert_eq!(records[1].depth, 1, "the event nests inside the span");
 //! ```
 
 #![forbid(unsafe_code)]
@@ -75,20 +78,18 @@
 mod analyze;
 mod clock;
 mod context;
-mod export;
 mod metrics;
 mod record;
 mod slo;
 mod span;
 mod subscriber;
 
-pub use analyze::{export_chrome_devices, CriticalPath, PathStep, TraceGraph, TraceNode};
+pub use analyze::{CriticalPath, PathStep, TraceGraph, TraceNode};
 pub use clock::{current_tick, reset_clock, set_tick};
 pub use context::{
-    mix64, trace_id, TraceContext, TraceSampler, CONTEXT_WIRE_LEN, FIELD_DEVICE, FIELD_PARENT,
-    FIELD_SPAN, FIELD_TRACE,
+    trace_id, TraceContext, TraceSampler, CONTEXT_WIRE_LEN, FIELD_DEVICE, FIELD_PARENT, FIELD_SPAN,
+    FIELD_TRACE,
 };
-pub use export::{export_chrome, export_jsonl, import_jsonl, record_to_json, ImportError};
 pub use metrics::{
     bucket_index, bucket_upper_edge, elapsed_ns, sampled_timed, timed, CachedCounter,
     CachedHistogram, Counter, Gauge, Histogram, HistogramSummary, Registry, Sampler, BUCKETS,

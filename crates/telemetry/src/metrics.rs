@@ -337,8 +337,9 @@ impl Registry {
     }
 
     /// Render the whole registry as the percentile summary table the CLI
-    /// prints after a traced run. Histogram values are taken as
-    /// nanoseconds and printed in adaptive units.
+    /// prints after a traced run. Histograms whose name ends in a `ns`
+    /// segment (`guard.ns`) hold nanoseconds and print in adaptive units;
+    /// any other histogram (batch sizes, queue ticks) prints plain integers.
     pub fn render_summary(&self) -> String {
         let mut out = String::new();
         let histograms = self.histogram_summaries();
@@ -349,16 +350,21 @@ impl Registry {
                 "histogram", "count", "mean", "p50", "p90", "p99", "max"
             );
             for (name, s) in &histograms {
+                let fmt: fn(u64) -> String = if name.rsplit('.').next() == Some("ns") {
+                    fmt_ns
+                } else {
+                    |v| v.to_string()
+                };
                 let _ = writeln!(
                     out,
                     "{:<28} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10}",
                     name,
                     s.count,
-                    fmt_ns(s.mean as u64),
-                    fmt_ns(s.p50),
-                    fmt_ns(s.p90),
-                    fmt_ns(s.p99),
-                    fmt_ns(s.max),
+                    fmt(s.mean as u64),
+                    fmt(s.p50),
+                    fmt(s.p90),
+                    fmt(s.p99),
+                    fmt(s.max),
                 );
             }
         }
@@ -679,6 +685,33 @@ mod tests {
         assert!(table.contains("guard.ns"));
         assert!(table.contains("events.total"));
         assert!(table.contains("fleet.active"));
+    }
+
+    #[test]
+    fn summary_table_prints_units_only_for_ns_histograms() {
+        let reg = Registry::new();
+        reg.histogram("guard.ns").record(1500);
+        reg.histogram("serve.batch.size").record(2);
+        reg.histogram("serve.latency.queue_ticks").record(69);
+        reg.histogram("dns.lookups").record(3);
+        let table = reg.render_summary();
+        let row = |name: &str| -> Vec<String> {
+            let line = table.lines().find(|l| l.starts_with(name)).unwrap();
+            line.split_whitespace()
+                .skip(1)
+                .map(str::to_string)
+                .collect()
+        };
+        assert!(row("guard.ns").iter().skip(1).all(|v| v.ends_with("ns")));
+        for name in [
+            "serve.batch.size",
+            "serve.latency.queue_ticks",
+            "dns.lookups",
+        ] {
+            for value in row(name) {
+                assert!(value.parse::<u64>().is_ok(), "{name} printed `{value}`");
+            }
+        }
     }
 
     #[test]

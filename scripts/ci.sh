@@ -43,11 +43,12 @@ trap 'rm -rf "$trace_dir"' EXIT
 ./target/release/apdm-experiments trace --seed 42 --out "$trace_dir/trace.jsonl" --quiet
 test -s "$trace_dir/trace.jsonl" || { echo "trace smoke: JSONL trace is missing or empty"; exit 1; }
 test -s "$trace_dir/trace.jsonl.chrome.json" || { echo "trace smoke: Chrome trace is missing or empty"; exit 1; }
-python3 - "$trace_dir/trace.jsonl" <<'PY'
+python3 - "$trace_dir/trace.jsonl" "$trace_dir/trace.jsonl.chrome.json" <<'PY'
 import json, sys
 
 path = sys.argv[1]
 names = set()
+records = 0
 with open(path) as fh:
     for lineno, line in enumerate(fh, start=1):
         if not line.strip():
@@ -56,15 +57,27 @@ with open(path) as fh:
             rec = json.loads(line)
         except json.JSONDecodeError as err:
             sys.exit(f"trace smoke: line {lineno} is not valid JSON: {err}")
+        records += 1
         if rec["kind"] == "span_start":
             names.add(rec["name"])
+
+try:
+    events = json.load(open(sys.argv[2]))["traceEvents"]
+except (json.JSONDecodeError, KeyError) as err:
+    sys.exit(f"trace smoke: Chrome trace is not a trace_event document: {err}")
+if len(events) != records:
+    sys.exit(f"trace smoke: Chrome trace has {len(events)} events for {records} JSONL records")
+bad_ph = sorted({str(e.get("ph")) for e in events} - {"B", "E", "i"})
+if bad_ph:
+    sys.exit(f"trace smoke: Chrome trace has unexpected event phases {bad_ph}")
 
 phases = {f"phase.{p}" for p in
           ("sense", "propose", "guard", "execute", "world-step", "ledger-append")}
 missing = sorted(phases - names)
 if missing:
     sys.exit(f"trace smoke: tick-phase spans missing from trace: {missing}")
-print(f"trace smoke: all {len(phases)} tick-phase spans present")
+print(f"trace smoke: all {len(phases)} tick-phase spans present, "
+      f"Chrome trace carries all {records} records")
 PY
 
 echo "==> parallel determinism smoke (APDM_THREADS=4 vs sequential)"

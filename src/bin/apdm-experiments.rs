@@ -109,6 +109,7 @@ use apdm::sim::recorder::{
 use apdm::sim::runner::*;
 use apdm::sim::scenario::run_surveillance;
 use apdm::telemetry::{self, event, Fanout, Level, RingCollector, StderrSubscriber, Subscriber};
+use apdm::trace;
 
 /// Ring-buffer capacity for `--trace` captures (most recent records win).
 const TRACE_RING_CAPACITY: usize = 262_144;
@@ -1082,7 +1083,7 @@ fn trace_analyze(path: &str, chrome: Option<&str>) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let records = match telemetry::import_jsonl(&text) {
+    let records = match trace::import_jsonl(&text) {
         Ok(records) => records,
         Err(e) => {
             eprintln!("{path}: {e}");
@@ -1108,7 +1109,7 @@ fn trace_analyze(path: &str, chrome: Option<&str>) -> ExitCode {
         }
     }
     if let Some(chrome_path) = chrome {
-        if let Err(e) = fs::write(chrome_path, telemetry::export_chrome_devices(&records)) {
+        if let Err(e) = fs::write(chrome_path, trace::export_chrome_devices(&records)) {
             eprintln!("cannot write {chrome_path}: {e}");
             return ExitCode::FAILURE;
         }
@@ -1128,10 +1129,10 @@ fn trace_analyze(path: &str, chrome: Option<&str>) -> ExitCode {
 /// and print the percentile summary table.
 fn dump_trace(path: &str, collector: &RingCollector) -> Result<(), String> {
     let records = collector.records();
-    fs::write(path, telemetry::export_jsonl(&records))
+    fs::write(path, trace::export_jsonl(&records))
         .map_err(|e| format!("cannot write {path}: {e}"))?;
     let chrome_path = format!("{path}.chrome.json");
-    fs::write(&chrome_path, telemetry::export_chrome(&records))
+    fs::write(&chrome_path, trace::export_chrome(&records))
         .map_err(|e| format!("cannot write {chrome_path}: {e}"))?;
     println!(
         "trace: {} records -> {path}, {chrome_path} (load in chrome://tracing){}",
@@ -1329,7 +1330,7 @@ fn run_experiment(
                 // Record mode for `trace-analyze` and CI: run the fully
                 // traced variant once and write its record stream as JSONL.
                 let (report, records) = run_e14_mode(&cfg, TraceMode::Full);
-                if let Err(e) = fs::write(path, telemetry::export_jsonl(&records)) {
+                if let Err(e) = fs::write(path, trace::export_jsonl(&records)) {
                     eprintln!("cannot write {path}: {e}");
                     return;
                 }

@@ -20,7 +20,8 @@
 //! | [`guards`] | `apdm-guards` | VI.A–D — the prevention mechanisms |
 //! | [`governance`] | `apdm-governance` | VI.E — AI overseeing AI |
 //! | [`ledger`] | `apdm-ledger` | VI.B audits — tamper-evident flight recorder and replay |
-//! | [`telemetry`] | `apdm-telemetry` | — deterministic spans/events, metrics, trace exporters |
+//! | [`telemetry`] | `apdm-telemetry` | — deterministic spans/events, metrics, span-DAG analysis |
+//! | [`trace`] | (this crate) | — trace file formats: JSONL export/import, Chrome `trace_event` timelines |
 //! | [`par`] | `apdm-par` | — deterministic scoped-thread shard pools and fan-out |
 //! | [`serve`] | `apdm-serve` | VI at fleet scale — sharded micro-batching decision service, fail-closed shedding |
 //! | [`net`] | `apdm-net` | VI at the I/O boundary — framed TCP transport, fail-closed codec |
@@ -72,3 +73,5 @@ pub use apdm_sim as sim;
 pub use apdm_simnet as simnet;
 pub use apdm_statespace as statespace;
 pub use apdm_telemetry as telemetry;
+
+pub mod trace;
