@@ -197,21 +197,18 @@ impl VerdictCache {
         (self.hits, self.misses)
     }
 
-    /// Export the full memo state for a checkpoint: every `(fingerprint,
-    /// verdict)` entry in key order plus the exact lifetime counters.
-    /// Together with [`restore`](Self::restore) this round-trips the cache
-    /// bit-exactly, which the serving layer's crash-recovery path needs —
-    /// cache contents steer the work meter, so a restored process must see
-    /// the same hits and misses an uninterrupted one would.
-    pub fn export(&self) -> (Vec<(u64, GuardVerdict)>, u64, u64) {
-        (
-            self.map.iter().map(|(&fp, v)| (fp, v.clone())).collect(),
-            self.hits,
-            self.misses,
-        )
+    /// Every memoized `(fingerprint, verdict)` entry, in key order. With
+    /// [`stats`](Self::stats) this is the full memo state a checkpoint
+    /// needs, and [`restore`](Self::restore) rebuilds the cache from it
+    /// bit-exactly. The serving layer's crash-recovery path depends on
+    /// that: cache contents steer the work meter, so a restored process
+    /// must see the same hits and misses an uninterrupted one would.
+    pub fn entries(&self) -> impl ExactSizeIterator<Item = (u64, &GuardVerdict)> {
+        self.map.iter().map(|(&fp, verdict)| (fp, verdict))
     }
 
-    /// Rebuild a cache from an [`export`](Self::export).
+    /// Rebuild a cache from its [`entries`](Self::entries) and
+    /// [`stats`](Self::stats).
     pub fn restore(entries: Vec<(u64, GuardVerdict)>, hits: u64, misses: u64) -> Self {
         VerdictCache {
             map: entries.into_iter().collect(),

@@ -113,11 +113,6 @@ pub struct GuardContext<'a> {
     pub world_token: u64,
 }
 
-/// A verdict cache's exported memo state: `(entries, hits, misses)`, as
-/// produced by [`GuardStack::export_cache`] and accepted back by
-/// [`GuardStack::restore_cache`].
-pub type CacheExport = (Vec<(u64, GuardVerdict)>, u64, u64);
-
 /// The composition of Section VI's per-device guards, evaluated in the
 /// paper's order: pre-action harm check first (VI.A), then the state-space
 /// check (VI.B). Either may be absent — experiment A1 ablates all
@@ -187,15 +182,15 @@ impl GuardStack {
         self.cache.as_ref().map(VerdictCache::stats)
     }
 
-    /// Export the verdict cache's full memo state — `(entries, hits,
-    /// misses)` — for a serving-layer checkpoint, or `None` when
-    /// memoization is off. See [`VerdictCache::export`].
-    pub fn export_cache(&self) -> Option<CacheExport> {
-        self.cache.as_ref().map(VerdictCache::export)
+    /// The verdict cache, when memoization is on: a serving-layer
+    /// checkpoint reads its full memo state through
+    /// [`VerdictCache::entries`] and [`VerdictCache::stats`].
+    pub fn cache(&self) -> Option<&VerdictCache> {
+        self.cache.as_ref()
     }
 
     /// Replace the verdict cache with checkpointed state (the inverse of
-    /// [`export_cache`](Self::export_cache)). A restored stack must resume
+    /// reading it through [`cache`](Self::cache)). A restored stack must resume
     /// with the exact memo contents and counters the checkpointed one had,
     /// or a recovered serving process would meter different costs than the
     /// uninterrupted run.

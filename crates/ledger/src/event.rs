@@ -8,8 +8,9 @@
 //! bridge instead of a parallel struct.
 
 use crate::name::Name;
+use crate::raw::RawJson;
 use apdm_policy::AuditEntry;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// One occurrence in a recorded run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -176,15 +177,16 @@ pub struct DeviceSnap {
     /// World y position.
     pub y: i32,
     /// Opaque guard-integrity payload (the sim layer stores the pre-action
-    /// check's `TamperStatus` here; `Null` when no guard is installed).
-    pub tamper: Value,
+    /// check's `TamperStatus` here; `null` when no guard is installed).
+    pub tamper: RawJson,
 }
 
 /// A checkpoint: everything needed to resume a run at `tick + 1`.
 ///
-/// World and metrics are stored as opaque [`serde::Value`] trees so this
-/// crate does not depend on the sim layer; the sim re-hydrates them with
-/// its own `Deserialize` impls.
+/// World and metrics are stored as opaque canonical JSON text
+/// ([`RawJson`]) so this crate does not depend on the layers that write
+/// them; the sim and the serving layer re-hydrate them with their own
+/// `Deserialize` impls.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SnapshotFrame {
     /// Tick *after* which the frame was taken (resume at `tick + 1`).
@@ -192,9 +194,9 @@ pub struct SnapshotFrame {
     /// The run RNG's four xoshiro256++ state words.
     pub rng: [u64; 4],
     /// Serialized `World`.
-    pub world: Value,
+    pub world: RawJson,
     /// Serialized run `Metrics`.
-    pub metrics: Value,
+    pub metrics: RawJson,
     /// Per-device state in id order.
     pub devices: Vec<DeviceSnap>,
 }
@@ -242,15 +244,15 @@ mod tests {
             RunEvent::Snapshot(SnapshotFrame {
                 tick: 10,
                 rng: [1, 2, 3, 4],
-                world: Value::Null,
-                metrics: Value::Null,
+                world: RawJson::null(),
+                metrics: RawJson::null(),
                 devices: vec![DeviceSnap {
                     id: 0,
                     values: vec![0.5],
                     active: true,
                     x: -2,
                     y: 7,
-                    tamper: Value::Null,
+                    tamper: RawJson::null(),
                 }],
             }),
             RunEvent::SegmentOpened {
@@ -291,8 +293,8 @@ mod tests {
         assert!(RunEvent::Snapshot(SnapshotFrame {
             tick: 0,
             rng: [0; 4],
-            world: Value::Null,
-            metrics: Value::Null,
+            world: RawJson::null(),
+            metrics: RawJson::null(),
             devices: vec![],
         })
         .is_snapshot());

@@ -414,7 +414,7 @@ impl fmt::Display for Ledger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde::Value;
+    use crate::raw::RawJson;
 
     fn sample() -> Ledger {
         let mut ledger = Ledger::new();
@@ -629,8 +629,8 @@ mod tests {
             RunEvent::Snapshot(SnapshotFrame {
                 tick,
                 rng: [0; 4],
-                world: Value::Null,
-                metrics: Value::Null,
+                world: RawJson::null(),
+                metrics: RawJson::null(),
                 devices: vec![],
             })
         };

@@ -15,6 +15,8 @@
 //!   reordering are all caught (see the crate's property tests).
 //! - [`SnapshotFrame`] — periodic checkpoint frames carrying world, fleet
 //!   and RNG state so a run can resume mid-stream instead of from tick 0.
+//!   State owned by other layers rides as canonical JSON text
+//!   ([`RawJson`]), written and hashed verbatim.
 //! - [`Replayer`] — compares a re-executed event stream against the
 //!   recorded reference and reports the first divergence; a rotated run is
 //!   compared segment by segment.
@@ -68,12 +70,14 @@ pub mod event;
 pub mod hash;
 pub mod ledger;
 pub mod name;
+pub mod raw;
 pub mod replay;
 pub mod segment;
 
 pub use event::{DeviceSnap, RunEvent, SnapshotFrame};
 pub use ledger::{Corruption, Ledger, LedgerError, LedgerRecord, TornTail};
 pub use name::{Name, NamePool};
+pub use raw::RawJson;
 pub use replay::{Divergence, ReplayReport, Replayer};
 pub use segment::{
     RotationPolicy, SegmentCorruption, SegmentReport, SegmentedLedger, SegmentedRecorder,

@@ -18,14 +18,16 @@
 //!
 //! The serving layer has no RNG and no world model, so the frame's `rng`,
 //! `metrics` and `devices` fields are zeroed/empty; the checkpoint rides
-//! entirely in `world`.
+//! entirely in `world`, as its canonical JSON text ([`RawJson`]). Writing
+//! a frame streams the checkpoint through its derived `write_json`, with
+//! no intermediate `Value` tree; reading one parses the text.
 
 use apdm_guards::GuardVerdict;
-use apdm_ledger::{LedgerError, SnapshotFrame};
+use apdm_ledger::{LedgerError, RawJson, SnapshotFrame};
 use apdm_policy::Action;
 use apdm_statespace::State;
 use apdm_telemetry::TraceContext;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 use crate::request::{DecisionRequest, TenantId};
 use crate::service::ServeStats;
@@ -185,21 +187,24 @@ pub struct ServeCheckpoint {
 impl ServeCheckpoint {
     /// Package the checkpoint as a ledger [`SnapshotFrame`]. The serving
     /// layer draws no randomness and owns no world/device state, so those
-    /// frame fields are zeroed; the checkpoint rides in `world`.
+    /// frame fields are zeroed; the checkpoint rides in `world`, streamed
+    /// straight to its canonical JSON text.
     pub fn to_frame(&self) -> SnapshotFrame {
         SnapshotFrame {
             tick: self.tick,
             rng: [0; 4],
-            world: serde_json::to_value(self).expect("checkpoint serialization cannot fail"),
-            metrics: Value::Null,
+            world: RawJson::of(self),
+            metrics: RawJson::null(),
             devices: Vec::new(),
         }
     }
 
     /// Rebuild a checkpoint from a ledger frame written by
-    /// [`to_frame`](ServeCheckpoint::to_frame).
+    /// [`to_frame`](ServeCheckpoint::to_frame), parsing its `world` text.
     pub fn from_frame(frame: &SnapshotFrame) -> Result<Self, LedgerError> {
-        serde_json::from_value(frame.world.clone())
+        frame
+            .world
+            .parse()
             .map_err(|e| LedgerError::Snapshot(format!("serve checkpoint: {e}")))
     }
 }
@@ -301,8 +306,8 @@ mod tests {
         let frame = SnapshotFrame {
             tick: 0,
             rng: [0; 4],
-            world: Value::Bool(true),
-            metrics: Value::Null,
+            world: RawJson::of(&true),
+            metrics: RawJson::null(),
             devices: Vec::new(),
         };
         assert!(matches!(

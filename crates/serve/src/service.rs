@@ -625,16 +625,20 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
                 .stacks
                 .iter()
                 .map(|stack| {
-                    stack
-                        .export_cache()
-                        .map(|(entries, hits, misses)| CacheSnap {
-                            entries: entries
-                                .into_iter()
-                                .map(|(fp, verdict)| CacheEntry { fp, verdict })
+                    stack.cache().map(|cache| {
+                        let (hits, misses) = cache.stats();
+                        CacheSnap {
+                            entries: cache
+                                .entries()
+                                .map(|(fp, verdict)| CacheEntry {
+                                    fp,
+                                    verdict: verdict.clone(),
+                                })
                                 .collect(),
                             hits,
                             misses,
-                        })
+                        }
+                    })
                 })
                 .collect(),
         }

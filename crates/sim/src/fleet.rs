@@ -5,11 +5,10 @@ use apdm_device::{Device, DeviceId};
 use apdm_guards::tamper::{TamperStatus, Tamperable};
 use apdm_guards::{DeactivationController, GuardContext, GuardStack, GuardVerdict};
 use apdm_ledger::{
-    DeviceSnap, LedgerError, Name, NamePool, RunEvent, SegmentedRecorder, SnapshotFrame,
+    DeviceSnap, LedgerError, Name, NamePool, RawJson, RunEvent, SegmentedRecorder, SnapshotFrame,
 };
 use apdm_policy::{Action, Event, Obligation, ObligationTrigger};
 use apdm_telemetry as telemetry;
-use serde::{Deserialize, Serialize, Value};
 
 /// The six per-tick phases of [`Fleet::step`], in emission order. Work for
 /// one phase is interleaved across the per-device loop, so durations are
@@ -397,14 +396,14 @@ impl Fleet {
                 tamper: member
                     .stack
                     .preaction()
-                    .map_or(Value::Null, |pre| Serialize::to_value(&pre.tamper_status())),
+                    .map_or(RawJson::null(), |pre| RawJson::of(&pre.tamper_status())),
             })
             .collect();
         SnapshotFrame {
             tick,
             rng: rng_words,
-            world: Serialize::to_value(world),
-            metrics: Serialize::to_value(&self.metrics),
+            world: RawJson::of(world),
+            metrics: RawJson::of(&self.metrics),
             devices,
         }
     }
@@ -418,7 +417,9 @@ impl Fleet {
         frame: &SnapshotFrame,
         world: &World,
     ) -> Result<(), LedgerError> {
-        self.metrics = Deserialize::from_value(&frame.metrics)
+        self.metrics = frame
+            .metrics
+            .parse()
             .map_err(|e| LedgerError::Snapshot(format!("metrics: {e}")))?;
         self.harvested_harms = world.harms().len();
         for snap in &frame.devices {
@@ -433,9 +434,11 @@ impl Fleet {
                 member.device.deactivate();
             }
             member.pos = (snap.x, snap.y);
-            if !matches!(snap.tamper, Value::Null) {
+            if !snap.tamper.is_null() {
                 if let Some(pre) = member.stack.preaction_mut() {
-                    let status: TamperStatus = Deserialize::from_value(&snap.tamper)
+                    let status: TamperStatus = snap
+                        .tamper
+                        .parse()
                         .map_err(|e| LedgerError::Snapshot(format!("tamper {}: {e}", snap.id)))?;
                     pre.set_tamper_status(status);
                 }

@@ -275,8 +275,36 @@ PY
 if ./target/release/apdm-experiments verify "$tamper_file" --quiet >/dev/null 2>&1; then
     echo "e16 smoke: tampered segment chain passed verification"; exit 1
 fi
+# Negative control on the checkpoint payload: one digit of a cached
+# verdict's fingerprint, inside a rotation header's checkpoint record,
+# must break that record's digest.
+mkdir "$trace_dir/e16-tampered-cp"
+cp "$trace_dir"/e16-golden.seg*.jsonl "$trace_dir/e16-tampered-cp/"
+cp_file=$(python3 - "$trace_dir"/e16-tampered-cp/e16-golden.seg*.jsonl <<'PY'
+import re, sys
+
+for path in sorted(sys.argv[1:]):
+    lines = open(path).read().splitlines()
+    for i, line in enumerate(lines):
+        m = re.search(r'"fp":(\d+)', line) if '"Snapshot"' in line else None
+        if m:
+            digits = m.group(1)
+            edited = digits[:-1] + str((int(digits[-1]) + 1) % 10)
+            lines[i] = line[:m.start(1)] + edited + line[m.end(1):]
+            open(path, "w").write("\n".join(lines) + "\n")
+            print(path)
+            sys.exit(0)
+sys.exit("e16 smoke: no golden checkpoint holds a cached verdict to tamper with")
+PY
+)
+cp_status=0
+cp_report="$(./target/release/apdm-experiments verify "$cp_file" --quiet 2>&1)" || cp_status=$?
+test "$cp_status" -ne 0 \
+    || { echo "e16 smoke: tampered checkpoint record passed verification"; exit 1; }
+grep -q "record 1: digest mismatch" <<<"$cp_report" \
+    || { echo "e16 smoke: tampered checkpoint not localized: $cp_report"; exit 1; }
 echo "e16 smoke: resumed run byte-identical to golden across $golden_count segments," \
-     "rotated chain verifies, tampering detected"
+     "rotated chain verifies, tampered digest and tampered checkpoint detected"
 
 echo "==> networked-serving smoke (E17: serve-net over real sockets vs in-process golden)"
 ./target/release/apdm-experiments serve-net golden --smoke --seed 42 \

@@ -6,7 +6,9 @@
 //! `serde::json::write_value` prints for the value's `to_value` tree. These
 //! properties drive both paths over random values seeded with the awkward
 //! cases: float edge values, integer extremes, control characters, empty
-//! containers and nested options.
+//! containers and nested options. Checkpoint frames carry their state as
+//! streamed text (`RawJson`), so they are also held to the tree's bytes at
+//! the ledger record, through JSONL and back to the typed checkpoint.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -14,7 +16,8 @@ use rand::{Rng, RngCore, SeedableRng};
 use serde::{json, Serialize, Value};
 
 use apdm::guards::GuardVerdict;
-use apdm::ledger::{DeviceSnap, Name, RunEvent, SnapshotFrame};
+use apdm::ledger::hash::chain_digest;
+use apdm::ledger::{DeviceSnap, Ledger, Name, RawJson, RunEvent, SnapshotFrame};
 use apdm::net::{DecisionSnap, ErrorPayload, HelloPayload, Role, TickPayload};
 use apdm::policy::{Action, AuditEntry, AuditKind, Obligation};
 use apdm::serve::{
@@ -65,26 +68,46 @@ const STR_PIECES: [&str; 11] = [
 ];
 
 /// Generators that hit an edge case about half the time.
-struct Gen(StdRng);
+struct Gen {
+    rng: StdRng,
+    /// Draw only finite floats: non-finite ones print as `null`, which
+    /// does not parse back into an `f64`.
+    finite: bool,
+}
 
 impl Gen {
     fn new(seed: u64) -> Self {
-        Gen(StdRng::seed_from_u64(seed))
+        Gen {
+            rng: StdRng::seed_from_u64(seed),
+            finite: false,
+        }
+    }
+
+    fn finite(seed: u64) -> Self {
+        Gen {
+            finite: true,
+            ..Gen::new(seed)
+        }
     }
 
     fn pick<T: Copy>(&mut self, items: &[T]) -> T {
-        items[self.0.random_range(0..items.len())]
+        items[self.rng.random_range(0..items.len())]
     }
 
     fn flip(&mut self) -> bool {
-        self.0.random_bool(0.5)
+        self.rng.random_bool(0.5)
     }
 
     fn f64(&mut self) -> f64 {
-        if self.flip() {
-            self.pick(&EDGE_F64)
-        } else {
-            f64::from_bits(self.0.next_u64())
+        loop {
+            let f = if self.flip() {
+                self.pick(&EDGE_F64)
+            } else {
+                f64::from_bits(self.rng.next_u64())
+            };
+            if f.is_finite() || !self.finite {
+                return f;
+            }
         }
     }
 
@@ -92,7 +115,7 @@ impl Gen {
         if self.flip() {
             self.pick(&EDGE_U64)
         } else {
-            self.0.next_u64() >> self.0.random_range(0..64u32)
+            self.rng.next_u64() >> self.rng.random_range(0..64u32)
         }
     }
 
@@ -109,7 +132,7 @@ impl Gen {
     }
 
     fn string(&mut self) -> String {
-        let n = self.0.random_range(0..4usize);
+        let n = self.rng.random_range(0..4usize);
         (0..n).map(|_| self.pick(&STR_PIECES)).collect()
     }
 
@@ -118,13 +141,13 @@ impl Gen {
     }
 
     fn vec<T>(&mut self, max: usize, mut f: impl FnMut(&mut Self) -> T) -> Vec<T> {
-        let n = self.0.random_range(0..max + 1);
+        let n = self.rng.random_range(0..max + 1);
         (0..n).map(|_| f(self)).collect()
     }
 
     fn value(&mut self, depth: u32) -> Value {
         let kinds = if depth == 0 { 6 } else { 8 };
-        match self.0.random_range(0..kinds) {
+        match self.rng.random_range(0..kinds) {
             0 => Value::Null,
             1 => Value::Bool(self.flip()),
             2 => Value::Int(self.i64()),
@@ -138,21 +161,21 @@ impl Gen {
 
     fn action(&mut self) -> Action {
         let mut delta = StateDelta::empty();
-        for _ in 0..self.0.random_range(0..3usize) {
-            delta = delta.and(VarId(self.0.random_range(0..4usize)), self.f64());
+        for _ in 0..self.rng.random_range(0..3usize) {
+            delta = delta.and(VarId(self.rng.random_range(0..4usize)), self.f64());
         }
         let mut action = Action::adjust(self.string(), delta);
         if self.flip() {
             action = action.physical();
         }
-        for _ in 0..self.0.random_range(0..3usize) {
+        for _ in 0..self.rng.random_range(0..3usize) {
             action = action.with_param(self.string(), self.string());
         }
         action
     }
 
     fn verdict(&mut self) -> GuardVerdict {
-        match self.0.random_range(0..4u32) {
+        match self.rng.random_range(0..4u32) {
             0 => GuardVerdict::Allow,
             1 => GuardVerdict::AllowWithObligations(self.vec(2, |g| {
                 if g.flip() {
@@ -176,7 +199,7 @@ impl Gen {
             .var(format!("x{}", self.string()), -1e300, 1e300)
             .var("y", 0.0, 1.0)
             .build();
-        let y = self.0.random_range(0.0..1.0);
+        let y = self.rng.random_range(0.0..1.0);
         let state = schema
             .state(&[self.pick(&[0.0, -0.0, 1e21, 1e-7, 5e-324, -1e300]), y])
             .expect("in bounds");
@@ -233,15 +256,15 @@ impl Gen {
         SnapshotFrame {
             tick: self.u64(),
             rng: [self.u64(), self.u64(), self.u64(), self.u64()],
-            world: self.value(3),
-            metrics: self.value(2),
+            world: RawJson::of(&self.value(3)),
+            metrics: RawJson::of(&self.value(2)),
             devices: self.vec(3, |g| DeviceSnap {
                 id: g.u64(),
                 values: g.vec(3, Gen::f64),
                 active: g.flip(),
                 x: g.i64() as i32,
                 y: g.i64() as i32,
-                tamper: g.value(1),
+                tamper: RawJson::of(&g.value(1)),
             }),
         }
     }
@@ -384,6 +407,38 @@ proptest! {
         let checkpoint = Gen::new(seed).checkpoint();
         assert_same_json(&checkpoint);
         assert_same_json(&checkpoint.to_frame());
+    }
+
+    #[test]
+    fn serve_checkpoint_records_hold_the_tree_bytes(seed in any::<u64>()) {
+        let checkpoint = Gen::new(seed).checkpoint();
+        let mut tree = String::new();
+        json::write_value(&mut tree, &serde_json::to_value(&checkpoint).unwrap());
+        let frame = checkpoint.to_frame();
+        assert_eq!(frame.world.as_str(), tree);
+
+        let tick = checkpoint.tick;
+        let mut ledger = Ledger::new();
+        ledger.append(0, RunEvent::RunStarted { experiment: "cp".into(), seed, devices: 0 });
+        ledger.append(tick, RunEvent::Snapshot(frame));
+        ledger.append(tick, RunEvent::RunFinished { ticks: tick, harms: 0 });
+        let payload = format!(
+            r#"[1,{tick},{{"Snapshot":{{"tick":{tick},"rng":[0,0,0,0],"world":{tree},"metrics":null,"devices":[]}}}}]"#
+        );
+        let [started, snapshot, _] = ledger.records() else { unreachable!() };
+        assert_eq!(snapshot.digest, chain_digest(started.digest, payload.as_bytes()));
+
+        let jsonl = ledger.to_jsonl();
+        let back = Ledger::from_jsonl(&jsonl).unwrap();
+        assert_eq!(back.to_jsonl(), jsonl);
+        back.verify().unwrap();
+    }
+
+    #[test]
+    fn serve_checkpoints_roundtrip_through_frames(seed in any::<u64>()) {
+        let checkpoint = Gen::finite(seed).checkpoint();
+        let back = ServeCheckpoint::from_frame(&checkpoint.to_frame()).unwrap();
+        assert_eq!(back, checkpoint);
     }
 
     #[test]

@@ -4,10 +4,13 @@
 //! other, so a serializer change that altered every record identically would
 //! pass them. These constants were measured before the compact JSON writer
 //! was made streaming; any change to the canonical payload bytes, the JSONL
-//! export or the chain digest moves them.
+//! export or the chain digest moves them. The E17 segments carry serving
+//! checkpoints with memoized verdicts, so the pin also covers the snapshot
+//! payload path.
 
 use apdm::bench::{golden_segments, E17Config};
 use apdm::ledger::Ledger;
+use apdm::serve::ServeCheckpoint;
 use apdm::sim::recorder::{run_recorded, RecordSpec};
 
 #[test]
@@ -31,6 +34,7 @@ fn seed_42_e17_golden_segment_heads_are_pinned() {
         seed: 42,
         ..E17Config::smoke()
     };
+    let mut cached_verdicts = 0;
     let heads: Vec<u64> = golden_segments(&cfg)
         .iter()
         .map(|(_, jsonl)| {
@@ -39,8 +43,21 @@ fn seed_42_e17_golden_segment_heads_are_pinned() {
                 .verify_chain()
                 .expect("golden segment chain verifies");
             assert_eq!(segment.to_jsonl(), *jsonl, "export is not canonical");
+            for (_, frame) in segment.snapshots() {
+                let checkpoint = ServeCheckpoint::from_frame(frame).expect("checkpoint parses");
+                cached_verdicts += checkpoint
+                    .caches
+                    .iter()
+                    .flatten()
+                    .map(|cache| cache.entries.len())
+                    .sum::<usize>();
+            }
             segment.head_digest()
         })
         .collect();
     assert_eq!(heads, [3_992_222_450_041_838, 2_221_483_229_347_926_620]);
+    assert!(
+        cached_verdicts > 0,
+        "no golden checkpoint holds a cached verdict, so the pin misses the payload path"
+    );
 }
