@@ -1,6 +1,6 @@
 use apdm_device::Device;
 use apdm_governance::TripartiteGovernor;
-use apdm_guards::{GuardContext, GuardStack, HarmOracle};
+use apdm_guards::{GuardContext, GuardStack, GuardVerdict, HarmOracle};
 use apdm_policy::{Action, AuditKind, AuditLog, Event};
 
 use crate::SafetyKernel;
@@ -70,7 +70,11 @@ impl AutonomicManager {
         self.governor.as_ref()
     }
 
-    /// The manager's audit trail (governance and guard events merge here).
+    /// The manager's audit trail: one `GuardIntervention` entry per
+    /// governance veto and per guard denial or substitution, detailing the
+    /// veto or the guard's [`reason`](GuardVerdict::reason). The guard stack
+    /// keeps no log of its own, so this is the only record of a managed
+    /// device's interventions.
     pub fn audit(&self) -> &AuditLog {
         &self.audit
     }
@@ -124,6 +128,10 @@ impl AutonomicManager {
         };
         let verdict = self.stack.check(&ctx, decision.action(), oracle);
         outcome.guard_intervened = verdict.intervened();
+        if let GuardVerdict::Deny { reason } | GuardVerdict::Replace { reason, .. } = &verdict {
+            self.audit
+                .record(tick, &subject, AuditKind::GuardIntervention, reason);
+        }
 
         if let Some(action) = verdict.effective_action(decision.action()) {
             let action = action.clone();
@@ -183,6 +191,13 @@ mod tests {
         assert!(out.executed.is_none());
         assert!(out.guard_intervened);
         assert_eq!(m.device().state().values()[0], 0.0);
+        // The denial lands in the manager's own audit trail, reason and all.
+        let entries = m.audit().entries();
+        assert_eq!(entries.len(), 1);
+        assert_eq!(entries[0].kind, AuditKind::GuardIntervention);
+        assert_eq!(entries[0].tick, 1);
+        assert_eq!(entries[0].subject, m.device().id().to_string());
+        assert!(entries[0].detail.starts_with("state check:"), "{entries:?}");
     }
 
     #[test]
@@ -195,6 +210,7 @@ mod tests {
             assert!(out.executed.is_some(), "tick {t} should execute");
         }
         assert_eq!(m.device().state().values()[0], 5.0);
+        assert!(m.audit().is_empty(), "allowed steps are not interventions");
         // The 8th step would cross into the bad region and is stopped.
         for t in 6..=10 {
             m.handle(&Event::named("tick"), NoHarmOracle, t);
@@ -229,6 +245,10 @@ mod tests {
         let out = m.handle(&Event::named("tick"), ThrottleHarms, 1);
         assert!(out.executed.is_none());
         assert!(out.guard_intervened);
+        assert_eq!(m.audit().count(AuditKind::GuardIntervention), 1);
+        assert!(m.audit().entries()[0]
+            .detail
+            .starts_with("pre-action check:"));
     }
 
     #[test]

@@ -20,12 +20,13 @@
 //! 3. **Mutation invalidates**: any mutable access to a sub-guard (tamper
 //!    injection, budget resets, policy swaps) clears the cache.
 //!
-//! A cache hit replays the one observable side effect an uncached check
-//! has — the audit entry a Deny/Replace verdict records — so audit trails
-//! are identical with the cache on or off. Per-stage telemetry counters
-//! and sampled latency histograms are *not* replayed on hits (nothing ran);
-//! instead hits and misses are counted exactly, both locally and through
-//! the `guard.cache.hit` / `guard.cache.miss` registry counters.
+//! A hit is a lookup, a count and a return. A pure stack's check has no
+//! side effect to replay: the stack keeps no audit log, and the verdict it
+//! returns is what callers book into the ledger, so the ledger is identical
+//! with the cache on or off. Per-stage telemetry counters and sampled
+//! latency histograms do not move on hits (nothing ran); instead hits and
+//! misses are counted exactly, both locally and through the
+//! `guard.cache.hit` / `guard.cache.miss` registry counters.
 //!
 //! [`GuardStack`]: crate::GuardStack
 

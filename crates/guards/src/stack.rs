@@ -1,6 +1,6 @@
 use std::fmt;
 
-use apdm_policy::{Action, AuditKind, AuditLog};
+use apdm_policy::Action;
 use apdm_statespace::State;
 use apdm_telemetry as telemetry;
 
@@ -99,7 +99,8 @@ fn observed(stage: &StageMetrics, f: impl FnOnce() -> GuardVerdict) -> GuardVerd
 pub struct GuardContext<'a> {
     /// Simulation tick.
     pub tick: u64,
-    /// Device being guarded (free-form id for audits).
+    /// Device being guarded (free-form id). It names the requester of a
+    /// break-glass override and the device in exposure-guard deny reasons.
     pub subject: &'a str,
     /// The device's current (perceived) state.
     pub state: &'a State,
@@ -116,7 +117,10 @@ pub struct GuardContext<'a> {
 /// The composition of Section VI's per-device guards, evaluated in the
 /// paper's order: pre-action harm check first (VI.A), then the state-space
 /// check (VI.B). Either may be absent — experiment A1 ablates all
-/// combinations. Every intervention is audited.
+/// combinations. The stack keeps no audit trail of its own: the verdict it
+/// returns is the record, and callers book it (the serving layer and the
+/// simulator as ledger `Verdict` records, [`GuardVerdict::label`] and
+/// [`GuardVerdict::reason`]; the autonomic manager in its audit log).
 ///
 /// Deactivation (VI.C) and formation checks (VI.D) operate at fleet scope and
 /// live outside the per-action stack; see
@@ -127,7 +131,6 @@ pub struct GuardStack {
     preaction: Option<PreActionCheck>,
     statecheck: Option<StateSpaceGuard>,
     exposure: Option<ExposureGuard>,
-    audit: AuditLog,
     metrics: StackMetrics,
     cache: Option<VerdictCache>,
 }
@@ -261,18 +264,13 @@ impl GuardStack {
         self.exposure.as_mut()
     }
 
-    /// The audit trail of interventions.
-    pub fn audit(&self) -> &AuditLog {
-        &self.audit
-    }
-
     /// Evaluate a proposed action through the full stack. A replacement
     /// action produced by the state check is re-screened by the pre-action
     /// check — the harm check is never bypassable via substitution.
     ///
     /// With memoization enabled (and the stack [cacheable](Self::with_cache))
-    /// a repeated context replays the memoized verdict — including the audit
-    /// entry a Deny/Replace records — without running the sub-guards.
+    /// a repeated context returns the memoized verdict without running the
+    /// sub-guards.
     pub fn check<O: HarmOracle + Copy>(
         &mut self,
         ctx: &GuardContext<'_>,
@@ -290,14 +288,6 @@ impl GuardStack {
         );
         let cache = self.cache.as_mut().expect("cacheable() implies a cache");
         if let Some(verdict) = cache.lookup(fp) {
-            // Replay the audit entry the original evaluation recorded.
-            match &verdict {
-                GuardVerdict::Deny { reason } | GuardVerdict::Replace { reason, .. } => {
-                    self.audit
-                        .record(ctx.tick, ctx.subject, AuditKind::GuardIntervention, reason);
-                }
-                _ => {}
-            }
             return verdict;
         }
         let verdict = self.check_uncached(ctx, proposed, oracle);
@@ -320,11 +310,7 @@ impl GuardStack {
             match observed(&self.metrics.preaction, || {
                 pre.check(ctx.state, proposed, oracle)
             }) {
-                GuardVerdict::Deny { reason } => {
-                    self.audit
-                        .record(ctx.tick, ctx.subject, AuditKind::GuardIntervention, &reason);
-                    return GuardVerdict::Deny { reason };
-                }
+                deny @ GuardVerdict::Deny { .. } => return deny,
                 GuardVerdict::AllowWithObligations(obs) => obligations = obs,
                 _ => {}
             }
@@ -346,11 +332,6 @@ impl GuardStack {
                     GuardVerdict::AllowWithObligations(obligations)
                 }
             }
-            GuardVerdict::Deny { reason } => {
-                self.audit
-                    .record(ctx.tick, ctx.subject, AuditKind::GuardIntervention, &reason);
-                GuardVerdict::Deny { reason }
-            }
             GuardVerdict::Replace { action, reason } => {
                 // Re-screen the substitute through the harm check.
                 if let Some(pre) = &mut self.preaction {
@@ -359,18 +340,11 @@ impl GuardStack {
                     } = observed(&self.metrics.preaction, || {
                         pre.check(ctx.state, &action, oracle)
                     }) {
-                        let combined = format!("{reason}; substitute rejected: {harm_reason}");
-                        self.audit.record(
-                            ctx.tick,
-                            ctx.subject,
-                            AuditKind::GuardIntervention,
-                            &combined,
-                        );
-                        return GuardVerdict::Deny { reason: combined };
+                        return GuardVerdict::Deny {
+                            reason: format!("{reason}; substitute rejected: {harm_reason}"),
+                        };
                     }
                 }
-                self.audit
-                    .record(ctx.tick, ctx.subject, AuditKind::GuardIntervention, &reason);
                 GuardVerdict::Replace { action, reason }
             }
             other => other,
@@ -383,15 +357,7 @@ impl GuardStack {
                 match observed(&self.metrics.exposure, || {
                     exposure.check(ctx.subject, ctx.state, effective)
                 }) {
-                    GuardVerdict::Deny { reason } => {
-                        self.audit.record(
-                            ctx.tick,
-                            ctx.subject,
-                            AuditKind::GuardIntervention,
-                            &reason,
-                        );
-                        return GuardVerdict::Deny { reason };
-                    }
+                    deny @ GuardVerdict::Deny { .. } => return deny,
                     _ => {
                         exposure.commit(&ctx.state.apply(effective.delta()));
                     }
@@ -465,13 +431,14 @@ mod tests {
     }
 
     #[test]
-    fn preaction_denial_is_terminal_and_audited() {
+    fn preaction_denial_is_terminal_and_carries_its_reason() {
         let mut stack = full_stack();
         let s = schema().state(&[1.0]).unwrap();
         let strike = Action::adjust("strike", Default::default());
         let v = stack.check(&ctx(&s, &[]), &strike, StrikeOracle);
         assert!(!v.permits_execution());
-        assert_eq!(stack.audit().count(AuditKind::GuardIntervention), 1);
+        assert_eq!(v.label(), "deny");
+        assert!(v.reason().starts_with("pre-action check:"), "{v}");
     }
 
     #[test]
@@ -490,7 +457,8 @@ mod tests {
         let step = Action::adjust("east", StateDelta::single(VarId(0), 1.0));
         let v = stack.check(&ctx(&s, &[]), &step, StrikeOracle);
         assert_eq!(v, GuardVerdict::Allow);
-        assert!(stack.audit().is_empty());
+        assert!(!v.intervened());
+        assert_eq!(v.reason(), "");
     }
 
     #[test]
@@ -507,13 +475,10 @@ mod tests {
             !v.permits_execution(),
             "harm check must also cover substitutes"
         );
-        let reasons: Vec<&str> = stack
-            .audit()
-            .entries()
-            .iter()
-            .map(|e| e.detail.as_str())
-            .collect();
-        assert!(reasons.iter().any(|r| r.contains("substitute rejected")));
+        // The denial names both the substitution and why it was refused.
+        assert!(v.reason().starts_with("state check:"), "{v}");
+        assert!(v.reason().contains("substitute rejected"), "{v}");
+        assert!(v.reason().contains("`strike` would directly harm"), "{v}");
     }
 
     #[test]
@@ -550,7 +515,7 @@ mod tests {
             .permits_execution());
         let v = stack.check(&ctx(&s, &[]), &loiter, StrikeOracle);
         assert!(!v.permits_execution());
-        assert_eq!(stack.audit().count(AuditKind::GuardIntervention), 1);
+        assert!(v.reason().starts_with("exposure guard:"), "{v}");
     }
 
     #[test]
@@ -620,37 +585,38 @@ mod tests {
     }
 
     #[test]
-    fn cached_stack_replays_identical_verdicts_and_audits() {
+    fn cached_stack_returns_identical_verdicts() {
         let s = schema().state(&[4.5]).unwrap();
         let into_bad = Action::adjust("east", StateDelta::single(VarId(0), 2.0));
         let step = Action::adjust("in-place", StateDelta::empty());
         let strike = Action::adjust("strike", Default::default());
+        let retreat = Action::adjust("west", StateDelta::single(VarId(0), -1.0));
+        let alternatives = [&retreat];
 
         let mut plain = full_stack();
         let mut cached = full_stack().with_cache();
+        let (mut expect, mut got) = (Vec::new(), Vec::new());
         for _ in 0..4 {
-            for action in [&into_bad, &step, &strike] {
-                let expect = plain.check(&ctx(&s, &[]), action, StrikeOracle);
-                let got = cached.check(&ctx(&s, &[]), action, StrikeOracle);
-                assert_eq!(expect, got);
+            for (action, alts) in [
+                (&into_bad, &[][..]),
+                (&into_bad, &alternatives[..]),
+                (&step, &[][..]),
+                (&strike, &[][..]),
+            ] {
+                expect.push(plain.check(&ctx(&s, alts), action, StrikeOracle));
+                got.push(cached.check(&ctx(&s, alts), action, StrikeOracle));
             }
         }
-        // Audit trails must be entry-for-entry identical.
-        let plain_entries: Vec<_> = plain
-            .audit()
-            .entries()
-            .iter()
-            .map(|e| (e.tick, e.detail.clone()))
-            .collect();
-        let cached_entries: Vec<_> = cached
-            .audit()
-            .entries()
-            .iter()
-            .map(|e| (e.tick, e.detail.clone()))
-            .collect();
-        assert_eq!(plain_entries, cached_entries);
-        // 3 distinct contexts: 3 misses, then 3 hits per remaining round.
-        assert_eq!(cached.cache_stats(), Some((9, 3)));
+        // Deny, Replace and Allow alike: the same verdicts, reasons
+        // included, in the same order.
+        assert_eq!(expect, got);
+        assert!(matches!(&got[0], GuardVerdict::Deny { .. }));
+        assert!(matches!(&got[1], GuardVerdict::Replace { action, .. } if action.name() == "west"));
+        assert_eq!(got[2], GuardVerdict::Allow);
+        assert!(matches!(&got[3], GuardVerdict::Deny { .. }));
+        // 4 distinct contexts: 4 misses, then 4 hits per remaining round.
+        assert_eq!(cached.cache_stats(), Some((12, 4)));
+        assert_eq!(plain.cache_stats(), None);
     }
 
     #[test]

@@ -1,3 +1,4 @@
+use std::borrow::Cow;
 use std::fmt;
 
 use apdm_policy::{Action, Obligation};
@@ -59,6 +60,29 @@ impl GuardVerdict {
     pub fn intervened(&self) -> bool {
         !matches!(self, GuardVerdict::Allow)
     }
+
+    /// The stable tag a ledger `Verdict` record carries: `allow`,
+    /// `allow+obligations`, `deny`, or `replace:<substitute>`. Borrowed
+    /// for every variant but `Replace`.
+    pub fn label(&self) -> Cow<'static, str> {
+        match self {
+            GuardVerdict::Allow => Cow::Borrowed("allow"),
+            GuardVerdict::AllowWithObligations(_) => Cow::Borrowed("allow+obligations"),
+            GuardVerdict::Deny { .. } => Cow::Borrowed("deny"),
+            GuardVerdict::Replace { action, .. } => {
+                Cow::Owned(format!("replace:{}", action.name()))
+            }
+        }
+    }
+
+    /// Why the guard denied or substituted; empty for allows. This is the
+    /// `reason` a ledger `Verdict` record carries.
+    pub fn reason(&self) -> &str {
+        match self {
+            GuardVerdict::Deny { reason } | GuardVerdict::Replace { reason, .. } => reason,
+            GuardVerdict::Allow | GuardVerdict::AllowWithObligations(_) => "",
+        }
+    }
 }
 
 impl fmt::Display for GuardVerdict {
@@ -118,6 +142,38 @@ mod tests {
         let v = GuardVerdict::AllowWithObligations(vec![ob.clone()]);
         assert_eq!(v.obligations(), &[ob]);
         assert!(v.intervened());
+    }
+
+    #[test]
+    fn ledger_labels_and_reasons() {
+        let ob = Obligation::during(Action::adjust("warn", Default::default()));
+        let cases = [
+            (GuardVerdict::Allow, "allow", ""),
+            (
+                GuardVerdict::AllowWithObligations(vec![ob]),
+                "allow+obligations",
+                "",
+            ),
+            (
+                GuardVerdict::Deny {
+                    reason: "bad".into(),
+                },
+                "deny",
+                "bad",
+            ),
+            (
+                GuardVerdict::Replace {
+                    action: Action::adjust("retreat", Default::default()),
+                    reason: "less bad".into(),
+                },
+                "replace:retreat",
+                "less bad",
+            ),
+        ];
+        for (verdict, label, reason) in cases {
+            assert_eq!(verdict.label(), label);
+            assert_eq!(verdict.reason(), reason);
+        }
     }
 
     #[test]

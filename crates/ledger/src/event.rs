@@ -37,10 +37,12 @@ pub enum RunEvent {
         device: u64,
         /// The proposed action the verdict concerns.
         action: Name,
-        /// Verdict kind: `deny`, `replace:<substitute>`, or
-        /// `allow+obligations`.
+        /// Verdict label, spelled by `apdm_guards::GuardVerdict::label`:
+        /// `deny`, `replace:<substitute>` or `allow+obligations`, plus
+        /// `allow` in serving ledgers, which book every decision.
         verdict: Name,
-        /// The guard's reason (empty for obligation-only verdicts).
+        /// The guard's reason, spelled by `apdm_guards::GuardVerdict::reason`
+        /// (empty for allows).
         reason: String,
     },
     /// An action actually executed against the world.

@@ -320,19 +320,10 @@ impl Ledger {
     /// Import from JSONL. Parse failures report the 1-based line number;
     /// call [`verify`](Ledger::verify) afterwards to check integrity.
     pub fn from_jsonl(text: &str) -> Result<Ledger, LedgerError> {
-        let mut records = Vec::new();
-        for (idx, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let record: LedgerRecord =
-                serde_json::from_str(line).map_err(|e| LedgerError::Parse {
-                    line: idx + 1,
-                    message: e.to_string(),
-                })?;
-            records.push(record);
+        match parse_jsonl(text) {
+            (records, None) => Ok(Ledger { records }),
+            (_, Some((line, message))) => Err(LedgerError::Parse { line, message }),
         }
-        Ok(Ledger { records })
     }
 
     /// Import from JSONL, tolerating a torn *final* line (a mid-write
@@ -347,36 +338,39 @@ impl Ledger {
     /// [`verify`](Ledger::verify) still refuses it; use
     /// [`verify_chain`](Ledger::verify_chain) on the prefix.
     pub fn from_jsonl_recovering(text: &str) -> Result<(Ledger, Option<TornTail>), LedgerError> {
-        match Ledger::from_jsonl(text) {
-            Ok(ledger) => Ok((ledger, None)),
-            Err(LedgerError::Parse { line, message }) => {
-                let last_nonempty = text
-                    .lines()
-                    .enumerate()
-                    .filter(|(_, l)| !l.trim().is_empty())
-                    .map(|(idx, _)| idx + 1)
-                    .last();
-                if last_nonempty != Some(line) {
-                    return Err(LedgerError::Parse { line, message });
-                }
-                let prefix: String = text
-                    .lines()
-                    .take(line - 1)
-                    .flat_map(|l| [l, "\n"])
-                    .collect();
-                let ledger = Ledger::from_jsonl(&prefix)?;
-                event!(
-                    Level::Warn,
-                    "ledger.torn_tail",
-                    line = line as u64,
-                    recovered_records = ledger.len() as u64
-                );
-                TORN_TAIL_RECOVERED.with(|c| c.inc());
-                Ok((ledger, Some(TornTail { line, message })))
-            }
-            Err(other) => Err(other),
+        let (records, failure) = parse_jsonl(text);
+        let Some((line, message)) = failure else {
+            return Ok((Ledger { records }, None));
+        };
+        if text.lines().skip(line).any(|l| !l.trim().is_empty()) {
+            return Err(LedgerError::Parse { line, message });
+        }
+        let ledger = Ledger { records };
+        event!(
+            Level::Warn,
+            "ledger.torn_tail",
+            line = line as u64,
+            recovered_records = ledger.len() as u64
+        );
+        TORN_TAIL_RECOVERED.with(|c| c.inc());
+        Ok((ledger, Some(TornTail { line, message })))
+    }
+}
+
+/// Parse JSONL records up to the first non-empty line that fails: the
+/// records before it, plus that line's 1-based number and parser message.
+fn parse_jsonl(text: &str) -> (Vec<LedgerRecord>, Option<(usize, String)>) {
+    let mut records = Vec::new();
+    for (idx, line) in text.lines().enumerate() {
+        if line.trim().is_empty() {
+            continue;
+        }
+        match serde_json::from_str(line) {
+            Ok(record) => records.push(record),
+            Err(e) => return (records, Some((idx + 1, e.to_string()))),
         }
     }
+    (records, None)
 }
 
 /// Evidence that [`Ledger::from_jsonl_recovering`] dropped a torn final

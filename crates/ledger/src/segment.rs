@@ -99,7 +99,7 @@ impl SegmentedRecorder {
     /// Open a recorder; record 0 of segment 0 is the run header.
     pub fn new(experiment: &str, seed: u64, devices: u64, policy: RotationPolicy) -> Self {
         let mut current = Ledger::new();
-        current.append(
+        let (_, current_bytes) = current.append_sized(
             0,
             RunEvent::RunStarted {
                 experiment: experiment.to_string(),
@@ -107,7 +107,6 @@ impl SegmentedRecorder {
                 devices,
             },
         );
-        let current_bytes = current.to_jsonl().len();
         SegmentedRecorder {
             policy,
             sealed: Vec::new(),
@@ -155,13 +154,9 @@ impl SegmentedRecorder {
     /// frames: they never trigger rotation by themselves. The serving layer
     /// calls this after appending the checkpoint snapshot that follows an
     /// anchor frame, so a tiny budget cannot rotate an empty segment.
+    /// Header bytes still count toward the byte budget.
     pub fn mark_header(&mut self) {
         self.header_len = self.current.len();
-        self.current_bytes = if self.policy.max_bytes > 0 {
-            self.current.to_jsonl().len()
-        } else {
-            0
-        };
     }
 
     /// Should the owner rotate now? True when the policy is enabled, the
@@ -197,7 +192,9 @@ impl SegmentedRecorder {
             }
         }
         self.index += 1;
-        self.current.append(
+        self.current_bytes = 0;
+        self.header_len = 1;
+        self.record(
             tick,
             RunEvent::SegmentOpened {
                 segment: self.index,
@@ -205,12 +202,6 @@ impl SegmentedRecorder {
                 prev_records,
             },
         );
-        self.header_len = 1;
-        self.current_bytes = if self.policy.max_bytes > 0 {
-            self.current.to_jsonl().len()
-        } else {
-            0
-        };
         self.index
     }
 
@@ -624,6 +615,18 @@ mod tests {
             rec.record(i + 1, proposal(i));
         }
         assert_eq!(rec.current_bytes, rec.current().to_jsonl().len());
+        // Across a rotation the count restarts at the anchor frame...
+        rec.rotate(6);
+        assert_eq!(rec.current_bytes, rec.current().to_jsonl().len());
+        // ...and header frames marked after it still count toward it.
+        rec.record(6, proposal(5));
+        rec.mark_header();
+        assert_eq!(rec.current_bytes, rec.current().to_jsonl().len());
+        for i in 6..9 {
+            rec.record(i + 1, proposal(i));
+        }
+        assert_eq!(rec.current_bytes, rec.current().to_jsonl().len());
+        assert!(rec.current_bytes > 0);
     }
 
     #[test]

@@ -148,31 +148,29 @@ impl AdmissionQueue {
         }
     }
 
-    /// Freeze the queue for a checkpoint: every lane as `(tenant, DRR
-    /// deficit, queued requests front-to-back)` in tenant order — empty
-    /// lanes included, so a restored queue is structurally identical, not
-    /// just behaviorally — plus the DRR rotation order. Together with
-    /// [`restore`](AdmissionQueue::restore) this round-trips the queue
-    /// exactly, which crash recovery needs: dequeue order is a pure
-    /// function of this state.
-    #[allow(clippy::type_complexity)]
-    pub fn export(&self) -> (Vec<(TenantId, u32, Vec<DecisionRequest>)>, Vec<TenantId>) {
-        let lanes = self
-            .lanes
+    /// Every lane as `(tenant, DRR deficit, queued requests front-to-back)`,
+    /// in tenant order — empty lanes included, so a restored queue is
+    /// structurally identical, not just behaviorally. With
+    /// [`rotation`](AdmissionQueue::rotation) this is the full queue state a
+    /// checkpoint needs, and [`restore`](AdmissionQueue::restore) rebuilds
+    /// the queue from it exactly, which crash recovery needs: dequeue order
+    /// is a pure function of this state.
+    pub fn lanes(
+        &self,
+    ) -> impl ExactSizeIterator<Item = (TenantId, u32, &VecDeque<DecisionRequest>)> {
+        self.lanes
             .iter()
-            .map(|(&tenant, lane)| {
-                (
-                    tenant,
-                    lane.deficit,
-                    lane.queue.iter().cloned().collect::<Vec<_>>(),
-                )
-            })
-            .collect();
-        (lanes, self.rotation.iter().copied().collect())
+            .map(|(&tenant, lane)| (tenant, lane.deficit, &lane.queue))
     }
 
-    /// Rebuild a queue from an [`export`](AdmissionQueue::export) under the
-    /// same bounds.
+    /// The DRR rotation order: backlogged tenants, the one being served
+    /// first.
+    pub fn rotation(&self) -> impl ExactSizeIterator<Item = TenantId> + '_ {
+        self.rotation.iter().copied()
+    }
+
+    /// Rebuild a queue from its [`lanes`](AdmissionQueue::lanes) and
+    /// [`rotation`](AdmissionQueue::rotation) under the same bounds.
     pub fn restore(
         cfg: AdmissionConfig,
         lanes: Vec<(TenantId, u32, Vec<DecisionRequest>)>,
@@ -337,6 +335,38 @@ mod tests {
         assert_eq!(q.len(), 4);
         let order: Vec<u64> = std::iter::from_fn(|| q.dequeue()).map(|r| r.id).collect();
         assert_eq!(order, vec![0, 1, 2, 10]);
+    }
+
+    #[test]
+    fn lanes_and_rotation_restore_the_same_dequeue_stream() {
+        let cfg = AdmissionConfig {
+            capacity: 100,
+            tenant_quota: 100,
+            quantum: 2,
+        };
+        let mut q = AdmissionQueue::new(cfg);
+        for id in 0..5 {
+            assert!(q.submit(req(id, 0)).is_none());
+        }
+        assert!(q.submit(req(10, 1)).is_none());
+        assert!(q.submit(req(20, 2)).is_none());
+        // Freeze mid-quantum: tenant 0 holds one unspent credit.
+        let _ = q.dequeue();
+        let mut restored = AdmissionQueue::restore(
+            cfg,
+            q.lanes()
+                .map(|(tenant, deficit, queue)| (tenant, deficit, queue.iter().cloned().collect()))
+                .collect(),
+            q.rotation().collect(),
+        );
+        assert_eq!(restored.len(), q.len());
+        assert_eq!(restored.lanes().len(), 3);
+        let expect: Vec<u64> = std::iter::from_fn(|| q.dequeue()).map(|r| r.id).collect();
+        let got: Vec<u64> = std::iter::from_fn(|| restored.dequeue())
+            .map(|r| r.id)
+            .collect();
+        assert_eq!(got, expect);
+        assert_eq!(expect, vec![1, 10, 20, 2, 3, 4]);
     }
 
     #[test]

@@ -148,23 +148,17 @@ impl Decision {
         self.decided_at.saturating_sub(self.submitted_at)
     }
 
-    /// Stable verdict tag for ledgers and reports: `allow`, `deny`,
-    /// `replace:<substitute>`, or `allow+obligations`.
+    /// Stable verdict tag for ledgers and reports
+    /// ([`GuardVerdict::label`]): `allow`, `deny`, `replace:<substitute>`,
+    /// or `allow+obligations`.
     pub fn verdict_name(&self) -> String {
-        match &self.verdict {
-            GuardVerdict::Allow => "allow".to_string(),
-            GuardVerdict::AllowWithObligations(_) => "allow+obligations".to_string(),
-            GuardVerdict::Deny { .. } => "deny".to_string(),
-            GuardVerdict::Replace { action, .. } => format!("replace:{}", action.name()),
-        }
+        self.verdict.label().into_owned()
     }
 
-    /// The guard's (or shed path's) reason string, empty for plain allows.
+    /// The guard's (or shed path's) reason string, empty for allows
+    /// ([`GuardVerdict::reason`]).
     pub fn reason(&self) -> &str {
-        match &self.verdict {
-            GuardVerdict::Deny { reason } | GuardVerdict::Replace { reason, .. } => reason,
-            _ => "",
-        }
+        self.verdict.reason()
     }
 }
 

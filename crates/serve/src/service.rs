@@ -604,19 +604,19 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
     /// scheduling telemetry and SLO state are deliberately excluded: they
     /// must not influence results, so they must not ride the checkpoint.
     pub fn checkpoint(&self, now: u64) -> ServeCheckpoint {
-        let (lanes, rotation) = self.queue.export();
         let (meter_credit, meter_spent) = self.meter.export();
         ServeCheckpoint {
             tick: now,
-            lanes: lanes
-                .into_iter()
+            lanes: self
+                .queue
+                .lanes()
                 .map(|(tenant, deficit, queue)| LaneSnap {
                     tenant: tenant.0,
                     deficit,
                     queue: queue.iter().map(ReqSnap::from).collect(),
                 })
                 .collect(),
-            rotation: rotation.into_iter().map(|t| t.0).collect(),
+            rotation: self.queue.rotation().map(|t| t.0).collect(),
             meter_credit,
             meter_spent,
             shard_inflight: self.shard_inflight.clone(),
@@ -878,7 +878,7 @@ impl<O: HarmOracle + Copy + Send + Sync> PolicyDecisionService<O> {
             RunEvent::Verdict {
                 device: decision.device,
                 action: decision.action.as_str().into(),
-                verdict: decision.verdict_name().as_str().into(),
+                verdict: decision.verdict.label().as_ref().into(),
                 reason: decision.reason().to_string(),
             },
         );

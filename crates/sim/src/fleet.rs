@@ -252,8 +252,6 @@ pub struct Fleet {
     /// Interner for verdict labels (`deny`, `replace:<name>`, …) recorded at
     /// commit; commit is single-threaded, so one fleet-wide pool suffices.
     verdict_names: NamePool,
-    /// Reusable formatting buffer for composed verdict labels.
-    scratch: String,
 }
 
 impl Fleet {
@@ -270,7 +268,6 @@ impl Fleet {
             forwarded_breakglass: BTreeMap::new(),
             phase_sampler: telemetry::Sampler::every(PHASE_TIMING_SAMPLE_PERIOD),
             verdict_names: NamePool::new(),
-            scratch: String::new(),
         }
     }
 
@@ -711,27 +708,13 @@ impl Fleet {
             self.metrics.interventions += 1;
         }
         if self.recorder.is_some() {
-            let described: Option<(Name, &str)> = match &outcome.verdict {
-                GuardVerdict::Allow => None,
-                GuardVerdict::AllowWithObligations(_) => {
-                    Some((self.verdict_names.intern("allow+obligations"), ""))
-                }
-                GuardVerdict::Deny { reason } => {
-                    Some((self.verdict_names.intern("deny"), reason.as_str()))
-                }
-                GuardVerdict::Replace { action, reason } => {
-                    use std::fmt::Write;
-                    self.scratch.clear();
-                    let _ = write!(self.scratch, "replace:{}", action.name());
-                    Some((self.verdict_names.intern(&self.scratch), reason.as_str()))
-                }
-            };
-            if let Some((verdict_name, reason)) = described {
-                let reason = reason.to_string();
+            if outcome.verdict.intervened() {
+                let verdict = self.verdict_names.intern(&outcome.verdict.label());
+                let reason = outcome.verdict.reason().to_string();
                 record_timed(&mut self.recorder, clock, tick, || RunEvent::Verdict {
                     device: id.0,
                     action: outcome.proposed.clone(),
-                    verdict: verdict_name,
+                    verdict,
                     reason,
                 });
             }

@@ -10,7 +10,7 @@ cargo fmt --check
 # The serving and transport crates hold production code only; the
 # experiment harnesses (and the comms/simnet stack E14 needs) live in
 # apdm-bench. Fail if a harness dependency creeps back into either crate.
-echo "==> dependency guard (apdm-serve, apdm-net stay harness-free)"
+echo "==> dependency guard (apdm-serve, apdm-net stay harness-free; guard stack keeps no audit log)"
 for pkg in apdm-serve apdm-net; do
     deps="$(cargo tree -p "$pkg" -e normal --offline --prefix none)"
     for banned in apdm-comms apdm-governance apdm-simnet; do
@@ -18,6 +18,14 @@ for pkg in apdm-serve apdm-net; do
             echo "dependency guard: $pkg depends on $banned"; exit 1
         fi
     done
+done
+# The ledger is the one record of a guard verdict: the guard stack and its
+# verdict cache keep no audit log of their own, so a cache hit stays a pure
+# lookup.
+for f in crates/guards/src/stack.rs crates/guards/src/cache.rs; do
+    if grep -n 'AuditLog' "$f"; then
+        echo "dependency guard: $f keeps a private AuditLog"; exit 1
+    fi
 done
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
